@@ -59,39 +59,58 @@ def _normalized(vec: np.ndarray) -> np.ndarray:
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
-def fallback_embed(text: str, dim: int = DEFAULT_DIM) -> Embedding:
-    """Hash word tokens and in-word character trigrams into a signed bag vector.
+def _hash_token(token: str, dim: int) -> tuple[tuple[int, float], ...]:
+    """(bucket, sign) of the word token and of each of its character trigrams."""
+    pairs = []
+    for feat in [token] + [token[i:i + 3] for i in range(len(token) - 2)]:
+        digest = hashlib.blake2b(feat.encode("utf-8"), digest_size=8).digest()
+        pairs.append((int.from_bytes(digest[:4], "little") % dim,
+                      1.0 if digest[4] & 1 else -1.0))
+    return tuple(pairs)
 
-    Pure function of (text, dim): word order never matters, token counts do.
-    """
+
+def _hashed_bag(text: str, dim: int, memo: dict) -> np.ndarray:
+    """Unit-norm signed bag of the text's hashed features; memo maps token -> hashes."""
     if dim < 16:
         raise ValueError(f"dim {dim} too small (min 16)")
     tokens = _TOKEN_RE.findall(text.lower())
     if not tokens:
         raise EmptyText(f"no tokens in {text!r}")
-
-    features = list(tokens)
-    for tok in tokens:
-        features.extend(tok[i:i + 3] for i in range(len(tok) - 2))
-
+    # Sums of +/-1 are exact in float64, so accumulation order never changes the bits.
     vec = np.zeros(dim, dtype=np.float64)
-    for feat in features:
-        digest = hashlib.blake2b(feat.encode("utf-8"), digest_size=8).digest()
-        bucket = int.from_bytes(digest[:4], "little") % dim
-        sign = 1.0 if digest[4] & 1 else -1.0
-        vec[bucket] += sign
-    return Embedding(values=_normalized(vec), provider_tag=f"local-hash-{dim}")
+    for tok in tokens:
+        pairs = memo.get(tok)
+        if pairs is None:
+            pairs = memo[tok] = _hash_token(tok, dim)
+        for bucket, sign in pairs:
+            vec[bucket] += sign
+    return _normalized(vec)
+
+
+def fallback_embed(text: str, dim: int = DEFAULT_DIM) -> Embedding:
+    """Hash word tokens and in-word character trigrams into a signed bag vector.
+
+    Pure function of (text, dim): word order never matters, token counts do.
+    """
+    return Embedding(values=_hashed_bag(text, dim, {}), provider_tag=f"local-hash-{dim}")
 
 
 class LocalHashEmbedder:
-    """Offline provider wrapping fallback_embed at a fixed dimension."""
+    """Offline provider computing fallback_embed at a fixed dimension.
+
+    Token hashes are memoised per instance: metric, relation, unit and year
+    tokens recur in nearly every triplet text. Concurrent writes to the memo
+    store the same value under a key, so threads share it without a lock.
+    """
 
     def __init__(self, dim: int = DEFAULT_DIM):
         self.dim = dim
         self.tag = f"local-hash-{dim}"
+        self._memo: dict[str, tuple[tuple[int, float], ...]] = {}
 
     def embed(self, text: str) -> Embedding:
-        return fallback_embed(text, self.dim)
+        return Embedding(values=_hashed_bag(text, self.dim, self._memo),
+                         provider_tag=self.tag)
 
 
 @dataclass(frozen=True)
@@ -159,13 +178,8 @@ class RemoteEmbedder:
         raise ProviderUnavailable(f"embeddings endpoint unreachable: {last_error}")
 
 
-def embed(text: str, provider) -> Embedding:
-    """Embed text with whatever provider is configured."""
-    return provider.embed(text)
-
-
 def cosine(a: Embedding, b: Embedding) -> float:
     """Dot product of unit vectors, clamped to [-1, 1]."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"{a.dim} vs {b.dim}")
-    return float(np.clip(np.dot(a.values, b.values), -1.0, 1.0))
+    return min(max(float(np.dot(a.values, b.values)), -1.0), 1.0)

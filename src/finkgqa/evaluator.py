@@ -302,8 +302,8 @@ class EvalRecord:
     predicted: Answer
     gold: str
     gold_exe: Decimal | None = None
-    verdict: str = "INCORRECT"  # CORRECT | INCORRECT | JUDGE_ERROR
-    judge_used: str = "RULES"  # RULES | LLM
+    verdict: str = "INCORRECT"  # CORRECT | INCORRECT | JUDGE_ERROR | MISSING
+    judge_used: str = "RULES"  # RULES | LLM | NONE
     retrieved: tuple[str, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
@@ -324,6 +324,8 @@ def _rules_inconclusive(pred: str, gold: str) -> bool:
 def judge_record(record: EvalRecord, rules: JudgeRules,
                  judge_client: ChatClient | None = None) -> EvalRecord:
     """Fill in the verdict, preferring the deterministic rules judge."""
+    if record.verdict == "MISSING":  # no prediction: nothing to judge
+        return record
     pred = record.predicted.raw_text
     correct = numbers_equivalent(pred, record.gold, rules)
     if not correct and record.gold_exe is not None:
@@ -344,7 +346,7 @@ def judge_record(record: EvalRecord, rules: JudgeRules,
 
 def evaluate_split(records: list[EvalRecord], rules: JudgeRules | None = None,
                    judge_client: ChatClient | None = None) -> tuple[float, list[EvalRecord]]:
-    """Judge every record; accuracy counts JUDGE_ERROR as incorrect."""
+    """Judge every record; accuracy counts JUDGE_ERROR and MISSING as incorrect."""
     if not records:
         raise EmptyInput("no records to evaluate")
     rules = rules or JudgeRules()

@@ -80,8 +80,12 @@ class ResponseCache:
         path = self.dir / f"{key}.json"
         if not path.exists():
             return None
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)["response"]
+        try:
+            with open(path, encoding="utf-8") as f:
+                return json.load(f)["response"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            logger.warning("unreadable cache entry %s treated as a miss: %r", path.name, exc)
+            return None
 
     def put(self, key: str, request: dict, response: dict) -> None:
         if not self.dir:
@@ -120,20 +124,23 @@ class ChatClient:
         return headers
 
     def complete(self, prompt: str, temperature: float | None = None) -> ChatResult:
-        """Send one user message; identical (prompt, model, temperature) hits the cache."""
-        temp = self.cfg.temperature if temperature is None else temperature
-        cache_key = ResponseCache.key_for(
-            {"prompt": prompt, "model": self.cfg.model_name, "temperature": temp})
-        cached = self.cache.get(cache_key)
-        if cached is not None:
-            return self._to_result(cached, from_cache=True)
+        """Send one user message; an identical request payload hits the cache.
 
+        Only responses that pass validation are cached, so a truncated or
+        malformed body is fetched again on the next call.
+        """
+        temp = self.cfg.temperature if temperature is None else temperature
         payload = {
             "model": self.cfg.model_name,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": temp,
             "max_tokens": self.cfg.max_tokens,
         }
+        cache_key = ResponseCache.key_for(payload)
+        cached = self.cache.get(cache_key)
+        if cached is not None:
+            return self._to_result(cached, from_cache=True)
+
         url = self.cfg.endpoint.rstrip("/") + "/chat/completions"
         last_error: str | None = None
         for attempt in range(self.cfg.max_retries + 1):
@@ -151,8 +158,9 @@ class ChatClient:
                 continue
             if status != 200:
                 raise LlmUnavailable(f"chat endpoint returned {status}: {body}")
+            result = self._to_result(body, from_cache=False)
             self.cache.put(cache_key, payload, body)
-            return self._to_result(body, from_cache=False)
+            return result
         raise LlmUnavailable(f"chat endpoint unreachable after "
                              f"{self.cfg.max_retries + 1} attempts: {last_error}")
 

@@ -321,19 +321,21 @@ def cmd_train_retriever(cfg: PipelineConfig) -> dict:
         by_doc.setdefault(t.source_doc, []).append(t)
 
     embedder = build_embedder(cfg.embeddings, cfg.cache_dir)
-    rows, labels, manifest = [], [], []
+    blocks, labels, manifest = [], [], []
     for doc in docs:
         doc_triplets = by_doc.get(doc.id, [])
+        if not doc_triplets:
+            continue
         doc_labels = retriever.label_triplets(doc, doc_triplets)
-        for t, label in zip(doc_triplets, doc_labels):
-            rows.append(retriever.build_features(doc.question, t, embedder).flatten())
-            labels.append(label)
-            manifest.append(json.dumps({"doc_id": doc.id, "triplet_id": t.triplet_id,
-                                        "label": label}))
-    if not rows:
+        blocks.append(retriever.build_features(doc.question, doc_triplets, embedder))
+        labels.extend(doc_labels)
+        manifest.extend(json.dumps({"doc_id": doc.id, "triplet_id": t.triplet_id,
+                                    "label": label})
+                        for t, label in zip(doc_triplets, doc_labels))
+    if not blocks:
         raise MissingArtifact("no training pairs; run `extract` on the train split first")
 
-    X = np.stack(rows)
+    X = np.concatenate(blocks)
     y = np.asarray(labels, dtype=np.float64)
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
@@ -430,6 +432,17 @@ def cmd_evaluate(cfg: PipelineConfig, split: str, mode: str) -> dict:
             gold_exe=doc.question.gold_exe_answer,
             retrieved=tuple(entry.get("retrieved", ())),
         ))
+    # Every split document is in the denominator: one without a prediction is wrong.
+    answered = {r.doc_id for r in records}
+    missing = [EvalRecord(doc_id=doc.id, predicted=reasoner.Answer(raw_text=""),
+                          gold=doc.question.gold_answer,
+                          gold_exe=doc.question.gold_exe_answer,
+                          verdict="MISSING", judge_used="NONE")
+               for doc in docs.values() if doc.id not in answered]
+    if missing:
+        logger.warning("%d of %d %s documents have no %s prediction; scored MISSING",
+                       len(missing), len(docs), split, mode)
+    records += missing
 
     judge_client = None
     if cfg.judge.kind in ("http", "mock"):
@@ -441,6 +454,7 @@ def cmd_evaluate(cfg: PipelineConfig, split: str, mode: str) -> dict:
         "split": split,
         "mode": mode,
         "n": len(judged),
+        "n_missing": len(missing),
         "correct": sum(1 for r in judged if r.verdict == "CORRECT"),
         "accuracy": accuracy,
         "accuracy_pct": 100.0 * accuracy,

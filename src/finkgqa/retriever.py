@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import DimensionMismatch, Embedding, cosine, embed
+from .embedding import DimensionMismatch, cosine
 from .kg_schema import Triplet, render_decimal
 from .preprocess import FinDocument, QuestionRecord
 
@@ -33,25 +33,9 @@ class DegenerateData(ValueError):
     """Training data contains a single class."""
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    q_emb: Embedding
-    t_emb: Embedding
-    cos_sim: float
-    temporal_distance: float
-    temporal_missing: float
-    metric_overlap: float
-    company_match: float
-    unit_is_percent: float
-
-    def flatten(self) -> np.ndarray:
-        scalars = [self.cos_sim, self.temporal_distance, self.temporal_missing,
-                   self.metric_overlap, self.company_match, self.unit_is_percent]
-        return np.concatenate([self.q_emb.values, self.t_emb.values,
-                               np.asarray(scalars, dtype=np.float64)])
-
-
-N_STRUCTURAL = 6
+STRUCTURAL_COLUMNS = ("cos_sim", "temporal_distance", "temporal_missing",
+                      "metric_overlap", "company_match", "unit_is_percent")
+N_STRUCTURAL = len(STRUCTURAL_COLUMNS)
 
 
 def feature_dim(embedding_dim: int) -> int:
@@ -59,6 +43,7 @@ def feature_dim(embedding_dim: int) -> int:
 
 
 _YEAR_RE = re.compile(r"\b(19\d{2}|20\d{2}|2100)\b")
+_WORD_RE = re.compile(r"[a-z0-9]+")
 
 
 def question_year(text: str) -> int | None:
@@ -67,41 +52,51 @@ def question_year(text: str) -> int | None:
     return int(m.group(0)) if m else None
 
 
-def metric_overlap(metric_type: str, question_text: str) -> float:
+def metric_overlap(metric_type: str, question_tokens: set[str]) -> float:
+    """Jaccard overlap of the metric's `_`-separated tokens and the question's words."""
     metric_tokens = {t for t in metric_type.lower().split("_") if t}
-    question_tokens = set(re.findall(r"[a-z0-9]+", question_text.lower()))
     if not metric_tokens and not question_tokens:
         return 0.0
     union = metric_tokens | question_tokens
     return len(metric_tokens & question_tokens) / len(union)
 
 
-def build_features(question: QuestionRecord, triplet: Triplet, provider) -> FeatureVector:
-    """Assemble the semantic + structural feature block for one pair."""
-    q_emb = embed(question.text, provider)
-    t_emb = embed(triplet.text(), provider)
+def build_features(question: QuestionRecord, triplets: list[Triplet],
+                   provider) -> np.ndarray:
+    """Feature rows for one question against its candidates, in input order.
 
+    Each row is [question embedding, triplet embedding, STRUCTURAL_COLUMNS].
+    The question-side work (embedding, year, tokens) is done once.
+    """
+    q_emb = provider.embed(question.text)
     q_year = question_year(question.text)
-    t_year = triplet.period.year
-    if q_year is None or t_year is None:
-        distance, missing = TEMPORAL_CAP, 1.0
-    else:
-        distance, missing = min(abs(q_year - t_year), TEMPORAL_CAP), 0.0
+    q_lower = question.text.lower()
+    q_tokens = set(_WORD_RE.findall(q_lower))
+    dim = q_emb.dim
 
-    company_match = 0.0
-    if triplet.company and triplet.company.lower() in question.text.lower():
-        company_match = 1.0
-
-    return FeatureVector(
-        q_emb=q_emb,
-        t_emb=t_emb,
-        cos_sim=cosine(q_emb, t_emb),
-        temporal_distance=float(distance),
-        temporal_missing=missing,
-        metric_overlap=metric_overlap(triplet.metric_type, question.text),
-        company_match=company_match,
-        unit_is_percent=1.0 if "percent" in triplet.unit.lower() else 0.0,
-    )
+    X = np.empty((len(triplets), feature_dim(dim)), dtype=np.float64)
+    X[:, :dim] = q_emb.values
+    for i, triplet in enumerate(triplets):
+        t_emb = provider.embed(triplet.text())
+        # One dot product per row: a batched T @ q sums in another order and
+        # changes the low bits of the features.
+        cos_sim = cosine(q_emb, t_emb)
+        t_year = triplet.period.year
+        if q_year is None or t_year is None:
+            distance, missing = TEMPORAL_CAP, 1.0
+        else:
+            distance, missing = min(abs(q_year - t_year), TEMPORAL_CAP), 0.0
+        company = triplet.company
+        X[i, dim:2 * dim] = t_emb.values
+        X[i, 2 * dim:] = (
+            cos_sim,
+            distance,
+            missing,
+            metric_overlap(triplet.metric_type, q_tokens),
+            1.0 if company and company.lower() in q_lower else 0.0,
+            1.0 if "percent" in triplet.unit.lower() else 0.0,
+        )
+    return X
 
 
 @dataclass
@@ -159,20 +154,13 @@ def _sigmoid(z):
 
 
 def forward_batch(m: MlpModel, X: np.ndarray) -> np.ndarray:
+    """Score each row of X; every score lies strictly inside (0, 1)."""
     if X.shape[1] != m.input_dim:
         raise DimensionMismatch(f"input dim {X.shape[1]} != model dim {m.input_dim}")
     Z1 = X @ m.W1.T + m.b1
     H = np.maximum(Z1, 0.0)
     z2 = H @ m.W2 + m.b2
     return np.clip(_sigmoid(z2), SCORE_EPS, 1.0 - SCORE_EPS)
-
-
-def mlp_forward(m: MlpModel, x: np.ndarray) -> float:
-    """Score one flattened feature vector; always strictly inside (0, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != m.input_dim:
-        raise DimensionMismatch(f"input dim {x.shape} != model dim {m.input_dim}")
-    return float(forward_batch(m, x[None, :])[0])
 
 
 def bce_loss(scores, labels, positive_weight: float = 1.0) -> float:
@@ -223,9 +211,10 @@ def train(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> tuple[MlpModel, lis
     rng = np.random.default_rng(cfg.seed + 1)
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    moments = {k: (np.zeros_like(v), np.zeros_like(v))
-               for k, v in (("W1", model.W1), ("b1", model.b1), ("W2", model.W2))}
-    moments["b2"] = (0.0, 0.0)
+    model.b2 = np.asarray(model.b2)  # 0-d while training, so one update fits all
+    names = ("W1", "b1", "W2", "b2")
+    m1 = {name: np.zeros_like(getattr(model, name)) for name in names}
+    m2 = {name: np.zeros_like(getattr(model, name)) for name in names}
     step = 0
 
     history: list[float] = []
@@ -239,25 +228,16 @@ def train(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> tuple[MlpModel, lis
                                              cfg.positive_weight)
             epoch_loss += loss * len(batch)
             step += 1
-            for name in ("W1", "b1", "W2"):
-                m1, m2 = moments[name]
+            for name in names:
                 g = grads[name]
-                m1 = beta1 * m1 + (1 - beta1) * g
-                m2 = beta2 * m2 + (1 - beta2) * g * g
-                moments[name] = (m1, m2)
-                m1_hat = m1 / (1 - beta1 ** step)
-                m2_hat = m2 / (1 - beta2 ** step)
-                param = getattr(model, name)
-                setattr(model, name, param - cfg.learning_rate * m1_hat
+                m1[name] = beta1 * m1[name] + (1 - beta1) * g
+                m2[name] = beta2 * m2[name] + (1 - beta2) * g * g
+                m1_hat = m1[name] / (1 - beta1 ** step)
+                m2_hat = m2[name] / (1 - beta2 ** step)
+                setattr(model, name, getattr(model, name) - cfg.learning_rate * m1_hat
                         / (np.sqrt(m2_hat) + eps))
-            m1, m2 = moments["b2"]
-            g = grads["b2"]
-            m1 = beta1 * m1 + (1 - beta1) * g
-            m2 = beta2 * m2 + (1 - beta2) * g * g
-            moments["b2"] = (m1, m2)
-            model.b2 = float(model.b2 - cfg.learning_rate * (m1 / (1 - beta1 ** step))
-                             / (np.sqrt(m2 / (1 - beta2 ** step)) + eps))
         history.append(epoch_loss / n)
+    model.b2 = float(model.b2)
     return model, history
 
 
@@ -303,10 +283,18 @@ def _decimal_in(rendered: str, tokens: set[str]) -> bool:
     return False
 
 
-def score_triplets(question: QuestionRecord, triplets: list[Triplet],
-                   model: MlpModel, provider) -> list[tuple[Triplet, float]]:
-    return [(t, mlp_forward(model, build_features(question, t, provider).flatten()))
-            for t in triplets]
+def score(question: QuestionRecord, triplets: list[Triplet], model: MlpModel,
+          provider) -> np.ndarray:
+    """Relevance score of every candidate, in input order, from one forward pass."""
+    if not triplets:
+        return np.empty(0)
+    return forward_batch(model, build_features(question, triplets, provider))
+
+
+def _ranked(pairs) -> list[tuple[Triplet, float]]:
+    """Score descending; ties break on ascending triplet id."""
+    return sorted(((t, float(s)) for t, s in pairs),
+                  key=lambda pair: (-pair[1], pair[0].triplet_id))
 
 
 def filter_topk(question: QuestionRecord, triplets: list[Triplet], model: MlpModel,
@@ -314,19 +302,15 @@ def filter_topk(question: QuestionRecord, triplets: list[Triplet], model: MlpMod
     """The k best-scoring triplets, descending; ties break on ascending id."""
     if k <= 0:
         return []
-    scored = score_triplets(question, triplets, model, provider)
-    scored.sort(key=lambda pair: (-pair[1], pair[0].triplet_id))
-    return scored[:k]
+    return _ranked(zip(triplets, score(question, triplets, model, provider)))[:k]
 
 
 def filter_threshold(question: QuestionRecord, triplets: list[Triplet],
                      model: MlpModel, provider,
                      threshold: float = 0.5) -> list[tuple[Triplet, float]]:
     """Alternative selection mode: keep everything scoring at or above threshold."""
-    scored = score_triplets(question, triplets, model, provider)
-    scored = [pair for pair in scored if pair[1] >= threshold]
-    scored.sort(key=lambda pair: (-pair[1], pair[0].triplet_id))
-    return scored
+    scores = score(question, triplets, model, provider)
+    return _ranked((t, s) for t, s in zip(triplets, scores) if s >= threshold)
 
 
 def save_model(model: MlpModel, path: str | Path) -> None:

@@ -34,9 +34,9 @@ from finkgqa.kg_schema import (
 from finkgqa.retriever import (
     TrainConfig,
     bce_loss,
+    forward_batch,
     init_model,
     loss_and_gradients,
-    mlp_forward,
     train,
 )
 
@@ -154,7 +154,7 @@ def test_mlp_gradients_and_training():
                     arr.flat[flat_idx] += delta
                 from finkgqa.retriever import MlpModel
                 m = MlpModel(**probe)
-                scores = np.array([mlp_forward(m, x) for x in X])
+                scores = forward_batch(m, X)
                 return bce_loss(scores, y, w)
 
             worst = 0.0
@@ -179,7 +179,7 @@ def test_mlp_gradients_and_training():
         cfg = TrainConfig(learning_rate=0.01, epochs=200, batch_size=64,
                           seed=5, hidden_size=8, positive_weight=1.0)
         model, history = train(X, y, cfg)
-        scores = np.array([mlp_forward(model, x) for x in X])
+        scores = forward_batch(model, X)
         accuracy = ((scores >= 0.5) == (y == 1)).mean()
         assert accuracy >= 0.95
 

@@ -41,6 +41,8 @@ def test_empty_text_rejected():
 def test_min_dimension():
     with pytest.raises(ValueError):
         fallback_embed("x", dim=8)
+    with pytest.raises(ValueError):
+        LocalHashEmbedder(dim=8).embed("x")
 
 
 def test_repeated_token_same_direction():
@@ -179,3 +181,54 @@ def test_provider_objects_share_interface():
     vec = local.embed("net revenue")
     assert vec.dim == 64
     assert vec.provider_tag == local.tag
+
+
+# ---------------------------------------------------------------------------
+# Memoised local provider
+
+_TEXTS = ["NET_REVENUE HAS_VALUE_IN_2015 5829 million USD",
+          "what was the net revenue of entergy in 2015?",
+          "OPERATING_EXPENSES HAS_VALUE_AFTER_2020 (123) thousand GBP",
+          "aa aa aa", "x", "EPS HAS_VALUE_IN_2019 1.25 USD"]
+
+
+@given(st.lists(texts, min_size=1, max_size=8))
+def test_local_embedder_bitwise_equals_fallback(batch):
+    embedder = LocalHashEmbedder(dim=64)
+    for text in batch + batch:  # the second pass is served from the token memo
+        assert embedder.embed(text).values.tobytes() == \
+            fallback_embed(text, dim=64).values.tobytes()
+
+
+def test_local_embedder_shared_by_threads_stays_exact():
+    import sys
+    import threading
+
+    embedder = LocalHashEmbedder(dim=256)
+    n_threads = 4  # more than the cores, and than the pipeline's two workers
+    start = threading.Barrier(n_threads)
+    results: dict[int, list] = {}
+
+    def work(worker):
+        start.wait(timeout=10)
+        order = _TEXTS if worker % 2 else _TEXTS[::-1]
+        results[worker] = [(t, embedder.embed(t).values) for t in order * 50]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == list(range(n_threads))
+    for worker in results:
+        for text, values in results[worker]:
+            assert values.tobytes() == fallback_embed(text, dim=256).values.tobytes()
+    for text in _TEXTS:  # and after the threads have filled the memo
+        assert embedder.embed(text).values.tobytes() == \
+            fallback_embed(text, dim=256).values.tobytes()

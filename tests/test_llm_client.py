@@ -171,3 +171,67 @@ def test_mock_transport_counts_calls(answer_key, tmp_path):
     client.complete("Question: q?\nANSWER: <v>")
     client.complete("Question: q?\nANSWER: <v>")
     assert transport.calls == 1
+
+
+# ---------------------------------------------------------------------------
+# Cache correctness
+
+
+def _scripted(*bodies):
+    """Transport replaying (200, body) responses in order and counting calls."""
+    sent = []
+
+    def transport(url, payload, headers, timeout):
+        sent.append(payload)
+        return 200, bodies[len(sent) - 1]
+
+    return transport, sent
+
+
+def test_truncated_response_is_not_cached(tmp_path):
+    transport, sent = _scripted(chat_response("partial", finish_reason="length"),
+                                chat_response("complete"))
+    client = ChatClient(_cfg("http://x", max_tokens=10), cache=ResponseCache(tmp_path),
+                        transport=transport)
+    with pytest.raises(LlmTruncated):
+        client.complete("long doc")
+    assert list(tmp_path.glob("*.json")) == []
+    assert client.complete("long doc").text == "complete"
+    assert len(sent) == 2
+
+
+def test_malformed_body_is_not_cached(tmp_path):
+    transport, sent = _scripted({"unexpected": "shape"}, chat_response("fine"))
+    client = ChatClient(_cfg("http://x"), cache=ResponseCache(tmp_path),
+                        transport=transport)
+    with pytest.raises(LlmUnavailable):
+        client.complete("prompt")
+    assert client.complete("prompt").text == "fine"
+    assert len(sent) == 2
+
+
+def test_cache_key_covers_max_tokens(tmp_path):
+    transport, sent = _scripted(chat_response("short"), chat_response("long"))
+    cache = ResponseCache(tmp_path)
+    short = ChatClient(_cfg("http://x", max_tokens=10), cache=cache, transport=transport)
+    long = ChatClient(_cfg("http://x", max_tokens=1000), cache=cache, transport=transport)
+    assert short.complete("prompt").text == "short"
+    assert long.complete("prompt").text == "long"
+    assert [p["max_tokens"] for p in sent] == [10, 1000]
+    assert short.complete("prompt").from_cache
+
+
+def test_unreadable_cache_entry_is_a_miss(tmp_path, caplog):
+    transport, sent = _scripted(chat_response("first"), chat_response("second"))
+    client = ChatClient(_cfg("http://x"), cache=ResponseCache(tmp_path),
+                        transport=transport)
+    client.complete("prompt")
+    [entry] = tmp_path.glob("*.json")
+    entry.write_text(entry.read_text()[:20], encoding="utf-8")  # truncated file
+
+    with caplog.at_level("WARNING", logger="finkgqa.llm_client"):
+        result = client.complete("prompt")
+    assert result.text == "second" and not result.from_cache
+    assert len(sent) == 2
+    assert "unreadable cache entry" in caplog.text
+    assert client.complete("prompt").from_cache  # rewritten by the fresh call

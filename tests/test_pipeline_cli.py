@@ -299,3 +299,22 @@ def test_cli_report_accepts_summary_files(tmp_path, corpus_path, capsys):
                      "--treatment", "eval_test_kg.json"]) == 0
     table = capsys.readouterr().out
     assert "Llama (vanilla)" in table and "Llama + KG" in table
+
+
+def test_missing_predictions_count_as_incorrect(tmp_path, corpus_path):
+    cfg = _config(tmp_path, corpus_path)
+    pl.cmd_ingest(cfg)
+    pl.cmd_answer(cfg, "test", "vanilla")
+    preds = pl.predictions_path(cfg, "test", "vanilla")
+    lines = preds.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == 5
+    preds.write_text(lines[0], encoding="utf-8")  # 1 of 5 questions answered
+
+    summary = pl.cmd_evaluate(cfg, "test", "vanilla")
+    assert summary["accuracy"] == pytest.approx(0.2)
+    assert summary["n"] == 5
+    assert summary["n_missing"] == 4
+    assert summary["correct"] == 1
+    verdicts = [json.loads(line) for line in
+                pl.verdicts_path(cfg, "test", "vanilla").read_text().splitlines()]
+    assert [v["verdict"] for v in verdicts] == ["CORRECT"] + ["MISSING"] * 4

@@ -1,14 +1,16 @@
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finkgqa.embedding import DimensionMismatch, LocalHashEmbedder
+from finkgqa.embedding import DimensionMismatch, LocalHashEmbedder, fallback_embed
 from finkgqa.kg_schema import Period, PeriodKind, UNKNOWN_PERIOD, make_triplet
 from finkgqa.preprocess import QuestionRecord
 from finkgqa.retriever import (
+    STRUCTURAL_COLUMNS,
     DegenerateData,
     LengthMismatch,
     MlpModel,
@@ -18,14 +20,15 @@ from finkgqa.retriever import (
     feature_dim,
     filter_threshold,
     filter_topk,
+    forward_batch,
     init_model,
     label_triplets,
     load_model,
     loss_and_gradients,
     metric_overlap,
-    mlp_forward,
     question_year,
     save_model,
+    score,
     train,
 )
 
@@ -46,57 +49,106 @@ def _triplet(metric="NET_REVENUE", year=2020, unit="", company=None, value="5"):
 # Features
 
 
+def _features(question, triplet):
+    """The single feature row of one (question, triplet) pair."""
+    X = build_features(question, [triplet], EMBEDDER)
+    assert X.shape == (1, feature_dim(32))
+    return X[0]
+
+
+def _col(row, name):
+    return row[2 * 32 + STRUCTURAL_COLUMNS.index(name)]
+
+
 def test_equal_years_give_zero_distance():
-    fv = build_features(_question(), _triplet(year=2020), EMBEDDER)
-    assert fv.temporal_distance == 0.0
-    assert fv.temporal_missing == 0.0
+    row = _features(_question(), _triplet(year=2020))
+    assert _col(row, "temporal_distance") == 0.0
+    assert _col(row, "temporal_missing") == 0.0
 
 
 def test_missing_year_hits_cap_and_flag():
-    fv = build_features(_question("what is the trend?"), _triplet(year=2020), EMBEDDER)
-    assert fv.temporal_missing == 1.0
-    assert fv.temporal_distance == 10.0
-    fv = build_features(_question(), _triplet(year=None), EMBEDDER)
-    assert fv.temporal_missing == 1.0
-    assert fv.temporal_distance == 10.0
+    row = _features(_question("what is the trend?"), _triplet(year=2020))
+    assert _col(row, "temporal_missing") == 1.0
+    assert _col(row, "temporal_distance") == 10.0
+    row = _features(_question(), _triplet(year=None))
+    assert _col(row, "temporal_missing") == 1.0
+    assert _col(row, "temporal_distance") == 10.0
 
 
 def test_distance_capped_at_ten():
-    fv = build_features(_question("value in 1990?"), _triplet(year=2020), EMBEDDER)
-    assert fv.temporal_distance == 10.0
-    assert fv.temporal_missing == 0.0
+    row = _features(_question("value in 1990?"), _triplet(year=2020))
+    assert _col(row, "temporal_distance") == 10.0
+    assert _col(row, "temporal_missing") == 0.0
 
 
 def test_metric_overlap_hand_computed():
     # question tokens: what, is, net, revenue, of, alpha, corp, in, 2015 (9)
     # metric tokens: net, revenue; intersection 2, union 9 -> 2/9
     q = "what is net revenue of alpha corp in 2015"
-    assert metric_overlap("NET_REVENUE", q) == pytest.approx(2 / 9)
+    assert metric_overlap("NET_REVENUE", set(q.split())) == pytest.approx(2 / 9)
+    assert metric_overlap("", set()) == 0.0
+    assert _col(_features(_question(q), _triplet()), "metric_overlap") == pytest.approx(2 / 9)
 
 
 def test_company_and_percent_flags():
-    fv = build_features(_question("what did entergy report for 2020?"),
-                        _triplet(company="Entergy", unit="percent"), EMBEDDER)
-    assert fv.company_match == 1.0
-    assert fv.unit_is_percent == 1.0
-    fv = build_features(_question(), _triplet(company="Sysco"), EMBEDDER)
-    assert fv.company_match == 0.0
-    assert fv.unit_is_percent == 0.0
+    row = _features(_question("what did entergy report for 2020?"),
+                    _triplet(company="Entergy", unit="percent"))
+    assert _col(row, "company_match") == 1.0
+    assert _col(row, "unit_is_percent") == 1.0
+    row = _features(_question(), _triplet(company="Sysco"))
+    assert _col(row, "company_match") == 0.0
+    assert _col(row, "unit_is_percent") == 0.0
 
 
 def test_feature_vector_length_constant():
-    fvs = [
-        build_features(_question(), _triplet(), EMBEDDER),
-        build_features(_question("trend?"), _triplet(year=None, unit="percent"), EMBEDDER),
-    ]
-    for fv in fvs:
-        assert fv.flatten().shape == (feature_dim(32),)
+    triplets = [_triplet(), _triplet(year=None, unit="percent")]
+    for question in (_question(), _question("trend?")):
+        assert build_features(question, triplets, EMBEDDER).shape == (2, feature_dim(32))
+    assert build_features(_question(), [], EMBEDDER).shape == (0, feature_dim(32))
 
 
 def test_features_pure():
-    a = build_features(_question(), _triplet(), EMBEDDER).flatten()
-    b = build_features(_question(), _triplet(), EMBEDDER).flatten()
+    triplets = [_triplet(), _triplet(year=2019)]
+    a = build_features(_question(), triplets, EMBEDDER)
+    b = build_features(_question(), triplets, EMBEDDER)
     assert np.array_equal(a, b)
+
+
+def _per_pair_row(question, triplet, dim=32):
+    """Reference row built pair by pair: q, t, then the six scalars."""
+    q = fallback_embed(question.text, dim)
+    t = fallback_embed(triplet.text(), dim)
+    q_year, t_year = question_year(question.text), triplet.period.year
+    if q_year is None or t_year is None:
+        distance, missing = 10.0, 1.0
+    else:
+        distance, missing = float(min(abs(q_year - t_year), 10.0)), 0.0
+    company = triplet.company and triplet.company.lower() in question.text.lower()
+    scalars = [float(np.clip(np.dot(q.values, t.values), -1.0, 1.0)), distance, missing,
+               metric_overlap(triplet.metric_type,
+                              set(re.findall(r"[a-z0-9]+", question.text.lower()))),
+               1.0 if company else 0.0,
+               1.0 if "percent" in triplet.unit.lower() else 0.0]
+    return np.concatenate([q.values, t.values, np.asarray(scalars, dtype=np.float64)])
+
+
+def test_build_features_rows_match_per_pair_construction():
+    question = _question("what did entergy report as net revenue in 2019?")
+    triplets = [_triplet(), _triplet(year=None, unit="percent"),
+                _triplet(metric="OPERATING_EXPENSES", year=2012, company="Entergy"),
+                _triplet(metric="EPS", year=2019, unit="USD", value="1.25")]
+    X = build_features(question, triplets, LocalHashEmbedder(dim=32))
+    for row, triplet in zip(X, triplets):
+        assert row.tobytes() == _per_pair_row(question, triplet).tobytes()
+
+
+def test_build_features_rejects_mixed_dimensions():
+    class Mixed:
+        def embed(self, text):
+            return fallback_embed(text, 32 if text.startswith("what") else 64)
+
+    with pytest.raises(DimensionMismatch):
+        build_features(_question(), [_triplet()], Mixed())
 
 
 def test_question_year_first_token():
@@ -108,9 +160,13 @@ def test_question_year_first_token():
 # Forward pass
 
 
+def _forward_one(model, x):
+    return float(forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])[0])
+
+
 def test_zero_model_scores_half():
     model = MlpModel(W1=np.zeros((3, 4)), b1=np.zeros(3), W2=np.zeros(3), b2=0.0)
-    assert mlp_forward(model, np.zeros(4)) == 0.5
+    assert forward_batch(model, np.zeros((2, 4))).tolist() == [0.5, 0.5]
 
 
 def test_hand_computed_forward():
@@ -120,21 +176,20 @@ def test_hand_computed_forward():
     x = np.array([0.2, 0.3])
     # z1 = [0.7, -0.2] -> relu [0.7, 0]; z2 = 0.7 + 0.25 = 0.95
     expected = 1.0 / (1.0 + math.exp(-0.95))
-    assert mlp_forward(model, x) == pytest.approx(expected, abs=1e-12)
+    assert _forward_one(model, x) == pytest.approx(expected, abs=1e-12)
 
 
 def test_score_strictly_inside_unit_interval():
     rng = np.random.default_rng(0)
     model = init_model(6, 4, seed=1)
-    for _ in range(50):
-        s = mlp_forward(model, rng.normal(size=6) * 100)
-    assert 0.0 < s < 1.0
+    scores = forward_batch(model, rng.normal(size=(50, 6)) * 100)
+    assert np.all((scores > 0.0) & (scores < 1.0))
 
 
 def test_forward_dimension_mismatch():
     model = init_model(4, 3, seed=0)
     with pytest.raises(DimensionMismatch):
-        mlp_forward(model, np.zeros(5))
+        forward_batch(model, np.zeros((1, 5)))
 
 
 def test_monotone_in_logit():
@@ -144,7 +199,7 @@ def test_monotone_in_logit():
     scores = []
     for bump in (0.0, 0.5, 1.0, 2.0):
         m = MlpModel(W1=model.W1, b1=model.b1, W2=model.W2, b2=model.b2 + bump)
-        scores.append(mlp_forward(m, x))
+        scores.append(_forward_one(m, x))
     assert scores == sorted(scores)
     assert len(set(scores)) == len(scores)
 
@@ -183,8 +238,7 @@ def test_bce_length_mismatch():
 def _fd_gradients(model, X, y, w, eps=1e-4):
     """Finite-difference oracle over the public forward + loss path."""
     def loss_of(m):
-        scores = np.array([mlp_forward(m, x) for x in X])
-        return bce_loss(scores, y, w)
+        return bce_loss(forward_batch(m, X), y, w)
 
     grads = {}
     for name in ("W1", "b1", "W2"):
@@ -251,7 +305,7 @@ def test_training_reaches_95_percent_on_separable_set():
     cfg = TrainConfig(learning_rate=0.01, epochs=200, batch_size=64, seed=3,
                       hidden_size=8, positive_weight=1.0)
     model, history = train(X, y, cfg)
-    scores = np.array([mlp_forward(model, x) for x in X])
+    scores = forward_batch(model, X)
     accuracy = ((scores >= 0.5) == (y == 1)).mean()
     assert accuracy >= 0.95
     assert len(history) == 200
@@ -349,9 +403,16 @@ def _scored_fixture(n=20):
     return question, triplets, model
 
 
+def _per_row_oracle(question, triplets, model):
+    """Each candidate scored alone from its per-pair row, then fully sorted."""
+    scored = [(t, _forward_one(model, _per_pair_row(question, t))) for t in triplets]
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0].triplet_id))
+
+
 def test_topk_zero_and_total():
     question, triplets, model = _scored_fixture(5)
     assert filter_topk(question, triplets, model, EMBEDDER, 0) == []
+    assert filter_topk(question, [], model, EMBEDDER, 3) == []
     everything = filter_topk(question, triplets, model, EMBEDDER, 99)
     assert len(everything) == 5
     scores = [s for _, s in everything]
@@ -361,11 +422,46 @@ def test_topk_zero_and_total():
 def test_topk_matches_brute_force_sort():
     question, triplets, model = _scored_fixture(20)
     top5 = filter_topk(question, triplets, model, EMBEDDER, 5)
-    # independent full sort oracle
-    scored = [(t, mlp_forward(model, build_features(question, t, EMBEDDER).flatten()))
-              for t in triplets]
-    oracle = sorted(scored, key=lambda pair: (-pair[1], pair[0].triplet_id))[:5]
-    assert [(t.triplet_id, s) for t, s in top5] == [(t.triplet_id, s) for t, s in oracle]
+    oracle = _per_row_oracle(question, triplets, model)[:5]
+    assert [t.triplet_id for t, _ in top5] == [t.triplet_id for t, _ in oracle]
+    # One batched matrix product sums in another order than per-row products.
+    assert [s for _, s in top5] == pytest.approx([s for _, s in oracle], abs=1e-12)
+
+
+_METRICS = ["NET_REVENUE", "OPERATING_EXPENSES", "TOTAL_ASSETS", "EPS", "NET_INCOME"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    words=st.lists(st.sampled_from(["what", "was", "net", "revenue", "total", "assets",
+                                    "eps", "change", "in", "2015", "2019", "percent",
+                                    "entergy", "expenses"]), min_size=1, max_size=10),
+    cells=st.lists(st.tuples(st.sampled_from(_METRICS),
+                             st.one_of(st.none(), st.integers(2010, 2021)),
+                             st.integers(-999, 99999)),
+                   min_size=0, max_size=40, unique=True),
+    unit=st.sampled_from(["", "percent", "million USD"]),
+    seed=st.integers(0, 10_000),
+    k=st.integers(1, 12),
+)
+def test_topk_property_matches_per_row_oracle(words, cells, unit, seed, k):
+    question = _question(" ".join(words))
+    triplets = [_triplet(metric=m, year=y, unit=unit, value=str(v),
+                         company="Entergy" if v % 2 else None)
+                for m, y, v in cells]
+    model = init_model(feature_dim(32), 8, seed=seed)
+    picked = filter_topk(question, triplets, model, LocalHashEmbedder(dim=32), k)
+    oracle = _per_row_oracle(question, triplets, model)[:k]
+    assert [t.triplet_id for t, _ in picked] == [t.triplet_id for t, _ in oracle]
+
+
+def test_score_returns_one_value_per_candidate_in_order():
+    question, triplets, model = _scored_fixture(7)
+    scores = score(question, triplets, model, EMBEDDER)
+    assert scores.shape == (7,)
+    for t, s in zip(triplets, scores):
+        assert s == pytest.approx(_forward_one(model, _per_pair_row(question, t)), abs=1e-12)
+    assert score(question, [], model, EMBEDDER).shape == (0,)
 
 
 def test_topk_subset_and_tie_determinism():
@@ -382,6 +478,8 @@ def test_threshold_mode():
     question, triplets, model = _scored_fixture(6)
     kept = filter_threshold(question, triplets, model, EMBEDDER, threshold=0.0)
     assert len(kept) == 6
+    assert [t.triplet_id for t, _ in kept] == \
+        [t.triplet_id for t, _ in filter_topk(question, triplets, model, EMBEDDER, 6)]
     kept = filter_threshold(question, triplets, model, EMBEDDER, threshold=1.1)
     assert kept == []
 
