@@ -1,4 +1,4 @@
-"""Text embeddings for questions and triplets, plus cosine similarity.
+"""Text embeddings for questions and triplets.
 
 A deterministic feature-hashing embedder keeps the pipeline fully offline; a
 remote provider speaking the common /embeddings wire format can be swapped in
@@ -49,7 +49,7 @@ class Embedding:
 def _normalized(vec: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
-        # Signed hashing can cancel exactly; pin a fixed direction instead.
+        # A zero vector has no direction; pin a fixed one, as the hashing bags do.
         vec = vec.copy()
         vec[0] = 1.0
         norm = 1.0
@@ -59,32 +59,50 @@ def _normalized(vec: np.ndarray) -> np.ndarray:
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
-def _hash_token(token: str, dim: int) -> tuple[tuple[int, float], ...]:
-    """(bucket, sign) of the word token and of each of its character trigrams."""
-    pairs = []
+def _hash_token(token: str, dim: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Buckets and signs of the word token and of each of its character trigrams."""
+    buckets, signs = [], []
     for feat in [token] + [token[i:i + 3] for i in range(len(token) - 2)]:
         digest = hashlib.blake2b(feat.encode("utf-8"), digest_size=8).digest()
-        pairs.append((int.from_bytes(digest[:4], "little") % dim,
-                      1.0 if digest[4] & 1 else -1.0))
-    return tuple(pairs)
+        buckets.append(int.from_bytes(digest[:4], "little") % dim)
+        signs.append(1.0 if digest[4] & 1 else -1.0)
+    return tuple(buckets), tuple(signs)
 
 
-def _hashed_bag(text: str, dim: int, memo: dict) -> np.ndarray:
-    """Unit-norm signed bag of the text's hashed features; memo maps token -> hashes."""
+def _hashed_bags(texts: list[str], dim: int, memo: dict) -> np.ndarray:
+    """Unit-norm signed bags of the texts' hashed features, one row per text.
+
+    `memo` maps token -> (buckets, signs). Every entry is an integer sum of
+    +/-1, exact in float64, so the order-free bincount and the sum of squares
+    behind each norm give the same bits as accumulating one feature at a time.
+    """
     if dim < 16:
         raise ValueError(f"dim {dim} too small (min 16)")
-    tokens = _TOKEN_RE.findall(text.lower())
-    if not tokens:
-        raise EmptyText(f"no tokens in {text!r}")
-    # Sums of +/-1 are exact in float64, so accumulation order never changes the bits.
-    vec = np.zeros(dim, dtype=np.float64)
-    for tok in tokens:
-        pairs = memo.get(tok)
-        if pairs is None:
-            pairs = memo[tok] = _hash_token(tok, dim)
-        for bucket, sign in pairs:
-            vec[bucket] += sign
-    return _normalized(vec)
+    buckets: list[int] = []
+    signs: list[float] = []
+    lengths = []
+    for text in texts:
+        tokens = _TOKEN_RE.findall(text.lower())
+        if not tokens:
+            raise EmptyText(f"no tokens in {text!r}")
+        before = len(buckets)
+        for tok in tokens:
+            hashed = memo.get(tok)
+            if hashed is None:
+                hashed = memo[tok] = _hash_token(tok, dim)
+            buckets += hashed[0]
+            signs += hashed[1]
+        lengths.append(len(buckets) - before)
+    n = len(texts)
+    rows = np.repeat(np.arange(n), lengths)
+    V = np.bincount(rows * dim + np.asarray(buckets, dtype=np.intp),
+                    weights=signs, minlength=n * dim).reshape(n, dim)
+    norms = np.sqrt(np.einsum("ij,ij->i", V, V))
+    # Signed hashing can cancel exactly; pin a fixed direction instead.
+    zero = norms == 0.0
+    V[zero, 0] = 1.0
+    norms[zero] = 1.0
+    return V / norms[:, None]
 
 
 def fallback_embed(text: str, dim: int = DEFAULT_DIM) -> Embedding:
@@ -92,7 +110,8 @@ def fallback_embed(text: str, dim: int = DEFAULT_DIM) -> Embedding:
 
     Pure function of (text, dim): word order never matters, token counts do.
     """
-    return Embedding(values=_hashed_bag(text, dim, {}), provider_tag=f"local-hash-{dim}")
+    return Embedding(values=_hashed_bags([text], dim, {})[0],
+                     provider_tag=f"local-hash-{dim}")
 
 
 class LocalHashEmbedder:
@@ -106,11 +125,15 @@ class LocalHashEmbedder:
     def __init__(self, dim: int = DEFAULT_DIM):
         self.dim = dim
         self.tag = f"local-hash-{dim}"
-        self._memo: dict[str, tuple[tuple[int, float], ...]] = {}
+        self._memo: dict[str, tuple[tuple[int, ...], tuple[float, ...]]] = {}
 
     def embed(self, text: str) -> Embedding:
-        return Embedding(values=_hashed_bag(text, self.dim, self._memo),
+        return Embedding(values=_hashed_bags([text], self.dim, self._memo)[0],
                          provider_tag=self.tag)
+
+    def embed_many(self, texts: list[str]) -> np.ndarray:
+        """Rows equal to `embed(text).values`, for every text in one pass."""
+        return _hashed_bags(texts, self.dim, self._memo)
 
 
 @dataclass(frozen=True)
@@ -156,6 +179,10 @@ class RemoteEmbedder:
         vec = np.asarray(raw, dtype=np.float64)
         return Embedding(values=_normalized(vec), provider_tag=self.tag)
 
+    def embed_many(self, texts: list[str]) -> np.ndarray:
+        """One row per text, each through `embed` and its cache."""
+        return np.stack([self.embed(text).values for text in texts])
+
     def _request(self, payload: dict) -> dict:
         url = self.cfg.endpoint.rstrip("/") + "/embeddings"
         headers = {"Content-Type": "application/json"}
@@ -177,9 +204,3 @@ class RemoteEmbedder:
             return body
         raise ProviderUnavailable(f"embeddings endpoint unreachable: {last_error}")
 
-
-def cosine(a: Embedding, b: Embedding) -> float:
-    """Dot product of unit vectors, clamped to [-1, 1]."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"{a.dim} vs {b.dim}")
-    return min(max(float(np.dot(a.values, b.values)), -1.0), 1.0)

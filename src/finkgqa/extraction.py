@@ -141,24 +141,22 @@ def parse_extraction_response(raw: str, doc_id: str,
     rejected: list[tuple[str, tuple[str, ...]]] = []
     seen: set[str] = set()
     for elem in elements:
-        fragment = json.dumps(elem)
         if not isinstance(elem, dict):
-            rejected.append((fragment, ("NotAnObject",)))
-            continue
-        try:
-            triplet = _triplet_from_element(elem, doc_id)
-        except (NotNumeric, InvalidOperation):
-            rejected.append((fragment, ("ValueNotNumeric",)))
-            continue
-        except EmptyAfterNormalization:
-            rejected.append((fragment, ("MetricEmpty",)))
-            continue
-        except (ValueError, KeyError, TypeError) as exc:
-            rejected.append((fragment, (f"Unmappable:{type(exc).__name__}",)))
-            continue
-        violations = validate_triplet(triplet)
+            violations = ("NotAnObject",)
+        else:
+            try:
+                triplet = _triplet_from_element(elem, doc_id)
+            except (NotNumeric, InvalidOperation):
+                violations = ("ValueNotNumeric",)
+            except EmptyAfterNormalization:
+                violations = ("MetricEmpty",)
+            except (ValueError, KeyError, TypeError) as exc:
+                violations = (f"Unmappable:{type(exc).__name__}",)
+            else:
+                violations = tuple(validate_triplet(triplet))
         if violations:
-            rejected.append((fragment, tuple(violations)))
+            # Only a rejected element is serialised, for the audit file.
+            rejected.append((json.dumps(elem), violations))
             continue
         if triplet.triplet_id in seen:
             continue

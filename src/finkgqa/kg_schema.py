@@ -7,6 +7,7 @@ canonical forms and keeps everything downstream of extraction schema-checked.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -92,8 +93,13 @@ _CANONICAL_PERIOD_RES: list[tuple[re.Pattern, PeriodKind]] = [
 ]
 
 
+@functools.lru_cache(maxsize=4096)
 def period_from_string(canonical: str) -> Period:
-    """Strict inverse of Period.canonical(); raises ValueError on anything else."""
+    """Strict inverse of Period.canonical(); raises ValueError on anything else.
+
+    Memoised: a store repeats a handful of period strings per document, and
+    the frozen Period can be shared.
+    """
     s = canonical.strip()
     if s == "UNKNOWN":
         return UNKNOWN_PERIOD

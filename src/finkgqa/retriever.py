@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 
-from .embedding import DimensionMismatch, cosine
-from .kg_schema import Triplet, render_decimal
+from .embedding import DimensionMismatch
+from .kg_schema import Triplet
 from .preprocess import FinDocument, QuestionRecord
 
 TEMPORAL_CAP = 10.0
@@ -66,36 +67,37 @@ def build_features(question: QuestionRecord, triplets: list[Triplet],
     """Feature rows for one question against its candidates, in input order.
 
     Each row is [question embedding, triplet embedding, STRUCTURAL_COLUMNS].
-    The question-side work (embedding, year, tokens) is done once.
+    The question-side work (embedding, year, tokens) is done once, and every
+    candidate is embedded by one `provider.embed_many` call.
     """
     q_emb = provider.embed(question.text)
+    q = q_emb.values
+    dim = q_emb.dim
+    X = np.empty((len(triplets), feature_dim(dim)), dtype=np.float64)
+    if not triplets:
+        return X
+    T = provider.embed_many([t.text() for t in triplets])
+    if T.shape[1] != dim:
+        raise DimensionMismatch(f"question dim {dim} vs triplet dim {T.shape[1]}")
     q_year = question_year(question.text)
     q_lower = question.text.lower()
     q_tokens = set(_WORD_RE.findall(q_lower))
-    dim = q_emb.dim
 
-    X = np.empty((len(triplets), feature_dim(dim)), dtype=np.float64)
-    X[:, :dim] = q_emb.values
-    for i, triplet in enumerate(triplets):
-        t_emb = provider.embed(triplet.text())
-        # One dot product per row: a batched T @ q sums in another order and
-        # changes the low bits of the features.
-        cos_sim = cosine(q_emb, t_emb)
-        t_year = triplet.period.year
-        if q_year is None or t_year is None:
-            distance, missing = TEMPORAL_CAP, 1.0
-        else:
-            distance, missing = min(abs(q_year - t_year), TEMPORAL_CAP), 0.0
-        company = triplet.company
-        X[i, dim:2 * dim] = t_emb.values
-        X[i, 2 * dim:] = (
-            cos_sim,
-            distance,
-            missing,
-            metric_overlap(triplet.metric_type, q_tokens),
-            1.0 if company and company.lower() in q_lower else 0.0,
-            1.0 if "percent" in triplet.unit.lower() else 0.0,
-        )
+    X[:, :dim] = q
+    X[:, dim:2 * dim] = T
+    S = X[:, 2 * dim:]
+    # One dot product per row: a batched T @ q sums in another order and
+    # changes the low bits of the features.
+    S[:, 0] = np.clip([np.dot(q, row) for row in T], -1.0, 1.0)
+    t_years = np.array([t.period.year for t in triplets], dtype=np.float64)  # None -> nan
+    gap = np.abs(t_years - (np.nan if q_year is None else q_year))
+    missing = np.isnan(gap)
+    S[:, 1] = np.where(missing, TEMPORAL_CAP, np.minimum(gap, TEMPORAL_CAP))
+    S[:, 2] = missing
+    overlap = {m: metric_overlap(m, q_tokens) for m in {t.metric_type for t in triplets}}
+    S[:, 3] = [overlap[t.metric_type] for t in triplets]
+    S[:, 4] = [bool(t.company) and t.company.lower() in q_lower for t in triplets]
+    S[:, 5] = ["percent" in t.unit.lower() for t in triplets]
     return X
 
 
@@ -149,8 +151,9 @@ def init_model(input_dim: int, hidden_size: int, seed: int) -> MlpModel:
 
 
 def _sigmoid(z):
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))),
-                    np.exp(np.clip(z, -500, 500)) / (1.0 + np.exp(np.clip(z, -500, 500))))
+    """Logistic function; exp never overflows because its argument is -|z|."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def forward_batch(m: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -211,10 +214,14 @@ def train(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> tuple[MlpModel, lis
     rng = np.random.default_rng(cfg.seed + 1)
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    lr = cfg.learning_rate
     model.b2 = np.asarray(model.b2)  # 0-d while training, so one update fits all
     names = ("W1", "b1", "W2", "b2")
-    m1 = {name: np.zeros_like(getattr(model, name)) for name in names}
-    m2 = {name: np.zeros_like(getattr(model, name)) for name in names}
+    # Per parameter: first and second moment, and two scratch buffers. Every
+    # update runs in place, in the operation order of the textbook form
+    # p - (lr * m1_hat) / (sqrt(m2_hat) + eps).
+    state = {name: tuple(np.zeros_like(getattr(model, name)) for _ in range(4))
+             for name in names}
     step = 0
 
     history: list[float] = []
@@ -228,20 +235,37 @@ def train(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> tuple[MlpModel, lis
                                              cfg.positive_weight)
             epoch_loss += loss * len(batch)
             step += 1
+            bias1, bias2 = 1 - beta1 ** step, 1 - beta2 ** step
             for name in names:
-                g = grads[name]
-                m1[name] = beta1 * m1[name] + (1 - beta1) * g
-                m2[name] = beta2 * m2[name] + (1 - beta2) * g * g
-                m1_hat = m1[name] / (1 - beta1 ** step)
-                m2_hat = m2[name] / (1 - beta2 ** step)
-                setattr(model, name, getattr(model, name) - cfg.learning_rate * m1_hat
-                        / (np.sqrt(m2_hat) + eps))
+                p, g = getattr(model, name), grads[name]
+                m1, m2, a, b = state[name]
+                np.multiply(m1, beta1, out=m1)
+                np.multiply(g, 1 - beta1, out=a)
+                np.add(m1, a, out=m1)
+                np.multiply(m2, beta2, out=m2)
+                np.multiply(g, 1 - beta2, out=b)
+                np.multiply(b, g, out=b)
+                np.add(m2, b, out=m2)
+                np.divide(m1, bias1, out=a)
+                np.multiply(a, lr, out=a)
+                np.divide(m2, bias2, out=b)
+                np.sqrt(b, out=b)
+                np.add(b, eps, out=b)
+                np.divide(a, b, out=a)
+                np.subtract(p, a, out=p)
         history.append(epoch_loss / n)
     model.b2 = float(model.b2)
     return model, history
 
 
 _NUMBER_TOKEN_RE = re.compile(r"[-+]?\d[\d,]*(?:\.\d+)?")
+
+
+def _sentence_index(sentence: str) -> tuple[frozenset[Decimal], frozenset[int]]:
+    """A gold sentence's number tokens (digit grouping dropped) as Decimals, and its years."""
+    numbers = _NUMBER_TOKEN_RE.findall(sentence)
+    return (frozenset(Decimal(tok.replace(",", "")) for tok in numbers),
+            frozenset(int(y) for y in _YEAR_RE.findall(sentence)))
 
 
 def label_triplets(doc: FinDocument, triplets: list[Triplet]) -> list[int]:
@@ -251,36 +275,17 @@ def label_triplets(doc: FinDocument, triplets: list[Triplet]) -> list[int]:
     number token in a supporting sentence whose years do not contradict the
     triplet's period; everything else is negative.
     """
+    index = [_sentence_index(s) for s in (doc.question.gold_inds if doc.question else ())]
     labels = []
     for t in triplets:
-        rendered = render_decimal(t.value)
-        positive = False
-        for sentence in (doc.question.gold_inds if doc.question else ()):
-            numbers = {tok.replace(",", "") for tok in _NUMBER_TOKEN_RE.findall(sentence)}
-            if rendered not in numbers and not _decimal_in(rendered, numbers):
-                continue
-            years = {int(y) for y in _YEAR_RE.findall(sentence)}
-            if t.period.year is None or not years or t.period.year in years:
-                positive = True
-                break
+        # Decimal equality, so "5.0" matches "5"; a non-finite value (a signalling
+        # NaN cannot even be hashed) matches no token.
+        value, year = t.value, t.period.year
+        positive = value.is_finite() and any(
+            value in values and (year is None or not years or year in years)
+            for values, years in index)
         labels.append(1 if positive else 0)
     return labels
-
-
-def _decimal_in(rendered: str, tokens: set[str]) -> bool:
-    from decimal import Decimal, InvalidOperation
-
-    try:
-        target = Decimal(rendered)
-    except InvalidOperation:
-        return False
-    for tok in tokens:
-        try:
-            if Decimal(tok) == target:
-                return True
-        except InvalidOperation:
-            continue
-    return False
 
 
 def score(question: QuestionRecord, triplets: list[Triplet], model: MlpModel,

@@ -108,6 +108,36 @@ def test_non_numeric_value_rejected():
     assert result.rejected[0][1] == ("ValueNotNumeric",)
 
 
+def test_every_rejection_kind_records_its_element_as_dumped(monkeypatch):
+    from finkgqa import extraction
+
+    elements = [
+        5, "NET_REVENUE 5829", [1, {"b": None}], None,
+        dict(ENTERGY_ELEMENT, value="not a number", object="xyz"),
+        dict(ENTERGY_ELEMENT, financial_metric_entity_type="!!! ", subject=""),
+        dict(ENTERGY_ELEMENT, object="approximately 5829 million USD", unit="€ m"),
+        dict(ENTERGY_ELEMENT, relation="WAS", period=" fiscal\t2015 "),
+        ENTERGY_ELEMENT,
+        {"subject": "unmappable", "nested": {"z": [1.5, -0.0, 1e300]}},
+    ]
+    real = extraction._triplet_from_element
+
+    def triplet_from_element(elem, doc_id):
+        if elem.get("subject") == "unmappable":
+            raise KeyError("object")
+        return real(elem, doc_id)
+
+    monkeypatch.setattr(extraction, "_triplet_from_element", triplet_from_element)
+    result = parse_extraction_response(json.dumps(elements), "d")
+    assert len(result.triplets) == 1
+    assert [violations[0] for _, violations in result.rejected] == [
+        "NotAnObject", "NotAnObject", "NotAnObject", "NotAnObject", "ValueNotNumeric",
+        "MetricEmpty", "ObjectValueMismatch", "RelationMalformed", "Unmappable:KeyError"]
+    rejected_elements = elements[:8] + elements[9:]
+    assert [fragment for fragment, _ in result.rejected] == \
+        [json.dumps(e) for e in rejected_elements]
+
+
 def test_duplicates_deduplicated_by_id():
     raw = json.dumps([ENTERGY_ELEMENT, dict(ENTERGY_ELEMENT)])
     result = parse_extraction_response(raw, "d")

@@ -137,6 +137,34 @@ def test_assemble_contains_every_sentence_once(corpus_docs):
     assert positions == sorted(positions)
 
 
+# Every code point that the regex class \s matches, which is also every one
+# for which str.isspace() holds.
+_WHITESPACE = "".join(chr(c) for c in (9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 133, 160,
+                                       5760, *range(8192, 8203), 8232, 8233, 8239,
+                                       8287, 12288))
+
+
+def test_whitespace_table_is_complete():
+    import sys
+
+    assert len(_WHITESPACE) == 29
+    assert {c for c in map(chr, range(sys.maxunicode + 1)) if re.match(r"\s", c)} \
+        == set(_WHITESPACE) == {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+
+
+_spaced = st.text(alphabet=st.sampled_from(_WHITESPACE + "ab1.,$e\u0301"), max_size=40)
+
+
+@given(st.lists(_spaced, max_size=4), st.lists(_spaced, max_size=4))
+def test_assemble_collapses_whitespace_like_the_regex(pre, post):
+    import unicodedata
+
+    doc = FinDocument(id="d", pre_text=tuple(pre), post_text=tuple(post))
+    text = " ".join(p.strip() for p in pre + post if p.strip())
+    expected = re.sub(r"\s+", " ", unicodedata.normalize("NFC", text)).strip()
+    assert assemble_text(doc) == expected
+
+
 def test_numeric_tokens_survive_assembly(corpus_docs):
     for doc in corpus_docs:
         text = assemble_text(doc)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finkgqa.embedding import DimensionMismatch, LocalHashEmbedder, fallback_embed
-from finkgqa.kg_schema import Period, PeriodKind, UNKNOWN_PERIOD, make_triplet
+from finkgqa.embedding import DimensionMismatch, Embedding, LocalHashEmbedder, fallback_embed
+from finkgqa.kg_schema import Period, PeriodKind, UNKNOWN_PERIOD, make_triplet, render_decimal
 from finkgqa.preprocess import QuestionRecord
 from finkgqa.retriever import (
     STRUCTURAL_COLUMNS,
@@ -145,10 +145,71 @@ def test_build_features_rows_match_per_pair_construction():
 def test_build_features_rejects_mixed_dimensions():
     class Mixed:
         def embed(self, text):
-            return fallback_embed(text, 32 if text.startswith("what") else 64)
+            return fallback_embed(text, 32)
+
+        def embed_many(self, texts):
+            return LocalHashEmbedder(dim=64).embed_many(texts)
 
     with pytest.raises(DimensionMismatch):
         build_features(_question(), [_triplet()], Mixed())
+
+
+class _FixedVectors:
+    """Provider returning set vectors: one for the question, rows for the triplets."""
+
+    def __init__(self, question_vec, triplet_rows):
+        self.question_vec = np.asarray(question_vec, dtype=np.float64)
+        self.triplet_rows = np.asarray(triplet_rows, dtype=np.float64)
+
+    def embed(self, text):
+        return Embedding(values=self.question_vec, provider_tag="fixed")
+
+    def embed_many(self, texts):
+        assert len(texts) == len(self.triplet_rows)
+        return self.triplet_rows
+
+
+def _cos_column(question, triplets, provider):
+    X = build_features(question, triplets, provider)
+    return X[:, 2 * provider.embed(question.text).dim + STRUCTURAL_COLUMNS.index("cos_sim")]
+
+
+def test_cos_sim_column_hand_computed():
+    # 0.6*0.8 + 0.8*0.6 = 0.96 by hand
+    cos = _cos_column(_question(), [_triplet()], _FixedVectors([0.6, 0.8], [[0.8, 0.6]]))
+    assert math.isclose(cos[0], 0.96, abs_tol=1e-12)
+
+
+def test_cos_sim_column_orthogonal():
+    eye = np.eye(16)
+    cos = _cos_column(_question(), [_triplet(), _triplet(year=2019)],
+                      _FixedVectors(eye[0], eye[1:3]))
+    assert np.all(np.abs(cos) < 1e-6)
+
+
+def test_cos_sim_column_identity():
+    triplet = _triplet(company="Entergy")
+    cos = _cos_column(_question(triplet.text()), [triplet], EMBEDDER)
+    assert abs(cos[0] - 1.0) < 1e-6
+
+
+def _text_triplet(text):
+    """A triplet whose text() has exactly the tokens of `text`."""
+    return make_triplet("NET_REVENUE", Decimal(1), subject=text, relation="", obj="",
+                        source_doc="d")
+
+
+_WORDS = st.text(alphabet="abcdefg 0123456789", min_size=1, max_size=30).filter(
+    lambda s: any(c.isalnum() for c in s))
+
+
+@given(_WORDS, _WORDS)
+def test_cos_sim_column_symmetric_and_bounded(s1, s2):
+    embedder = LocalHashEmbedder(dim=64)
+    forward = _cos_column(_question(s1), [_text_triplet(s2)], embedder)[0]
+    backward = _cos_column(_question(s2), [_text_triplet(s1)], embedder)[0]
+    assert forward == backward
+    assert -1.0 <= forward <= 1.0
 
 
 def test_question_year_first_token():
@@ -346,6 +407,73 @@ def test_training_keeps_weights_finite(n, d, seed):
     assert all(np.isfinite(h) for h in history)
 
 
+def _train_out_of_place(X, y, cfg):
+    """Reference training loop: every Adam update allocates fresh arrays."""
+    model = init_model(X.shape[1], cfg.hidden_size, cfg.seed)
+    rng = np.random.default_rng(cfg.seed + 1)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    model.b2 = np.asarray(model.b2)
+    names = ("W1", "b1", "W2", "b2")
+    m1 = {name: np.zeros_like(getattr(model, name)) for name in names}
+    m2 = {name: np.zeros_like(getattr(model, name)) for name in names}
+    step = 0
+    history = []
+    n = X.shape[0]
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            loss, grads = loss_and_gradients(model, X[batch], y[batch], cfg.positive_weight)
+            epoch_loss += loss * len(batch)
+            step += 1
+            for name in names:
+                g = grads[name]
+                m1[name] = beta1 * m1[name] + (1 - beta1) * g
+                m2[name] = beta2 * m2[name] + (1 - beta2) * g * g
+                m1_hat = m1[name] / (1 - beta1 ** step)
+                m2_hat = m2[name] / (1 - beta2 ** step)
+                setattr(model, name, getattr(model, name) - cfg.learning_rate * m1_hat
+                        / (np.sqrt(m2_hat) + eps))
+        history.append(epoch_loss / n)
+    model.b2 = float(model.b2)
+    return model, history
+
+
+@pytest.mark.parametrize("n,d,positive_weight", [(200, 6, 1.0), (333, 40, 3.5)])
+def test_in_place_adam_bitwise_equals_reference_loop(tmp_path, n, d, positive_weight):
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, d))
+    y = (rng.uniform(size=n) < 0.3).astype(np.float64)
+    cfg = TrainConfig(learning_rate=0.01, epochs=4, batch_size=64, seed=d,
+                      hidden_size=8, positive_weight=positive_weight)
+    model, history = train(X, y, cfg)
+    reference, ref_history = _train_out_of_place(X, y, cfg)
+    assert history == ref_history
+    save_model(model, tmp_path / "mine.json")
+    save_model(reference, tmp_path / "reference.json")
+    assert (tmp_path / "mine.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+def _sigmoid_three_clips(z):
+    """The sigmoid as first written: clipped logits, both branches evaluated."""
+    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500))),
+                    np.exp(np.clip(z, -500, 500)) / (1.0 + np.exp(np.clip(z, -500, 500))))
+
+
+def test_sigmoid_after_score_clip_equals_three_clip_form():
+    from finkgqa.retriever import SCORE_EPS, _sigmoid
+
+    rng = np.random.default_rng(0)
+    z = np.concatenate([rng.normal(scale=s, size=250_000) for s in (1.0, 30.0, 400.0)]
+                       + [[0.0, -0.0, 500.0, -500.0, 800.0, -800.0, np.inf, -np.inf,
+                           36.7, -36.7, 745.2, -745.2, 1e-300, -1e-300]])
+    with np.errstate(over="ignore"):
+        old = np.clip(_sigmoid_three_clips(z), SCORE_EPS, 1.0 - SCORE_EPS)
+    new = np.clip(_sigmoid(z), SCORE_EPS, 1.0 - SCORE_EPS)
+    assert new.tobytes() == old.tobytes()
+
+
 def test_train_config_invariants():
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
@@ -389,6 +517,64 @@ def test_label_grouped_digits_match(corpus_docs):
     triplets = extract_table_triplets(doc)
     by_rel = {t.relation: t for t in triplets}
     assert str(by_rel["HAS_VALUE_IN_2010"].value) == "1050"  # cell was "$1,050"
+
+
+def _label_triplets_per_pair(doc, triplets):
+    """The labelling rule re-parsed for every (triplet, sentence) pair."""
+    from decimal import InvalidOperation
+
+    def decimal_in(rendered, tokens):
+        try:
+            target = Decimal(rendered)
+        except InvalidOperation:
+            return False
+        for tok in tokens:
+            try:
+                if Decimal(tok) == target:
+                    return True
+            except InvalidOperation:
+                continue
+        return False
+
+    labels = []
+    for t in triplets:
+        rendered = render_decimal(t.value)
+        positive = False
+        for sentence in (doc.question.gold_inds if doc.question else ()):
+            numbers = {tok.replace(",", "")
+                       for tok in re.findall(r"[-+]?\d[\d,]*(?:\.\d+)?", sentence)}
+            if rendered not in numbers and not decimal_in(rendered, numbers):
+                continue
+            years = {int(y) for y in re.findall(r"\b(19\d{2}|20\d{2}|2100)\b", sentence)}
+            if t.period.year is None or not years or t.period.year in years:
+                positive = True
+                break
+        labels.append(1 if positive else 0)
+    return labels
+
+
+_SENTENCE_PIECES = ["the", "net revenue of", "in", "2019", "2020", "2021", "1,050", "1050",
+                    "1050.00", "-5", "+5", "5.0", "0.5", "$120", "12,0", "(3)", "3", ",",
+                    "was", "1990 and 2019", "20211", "7.25%"]
+_VALUES = ["1050", "1050.0", "-5", "5", "5.00", "0.5", "120", "3", "-3", "7.25", "120",
+           "0", "-0", "1E+3", "Infinity", "NaN", "sNaN"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sentences=st.lists(st.lists(st.sampled_from(_SENTENCE_PIECES), max_size=8)
+                       .map(" ".join), max_size=4),
+    cells=st.lists(st.tuples(st.sampled_from(_VALUES),
+                             st.one_of(st.none(), st.integers(2018, 2022))), max_size=12),
+    has_question=st.booleans(),
+)
+def test_label_triplets_matches_per_pair_rule(sentences, cells, has_question):
+    from finkgqa.preprocess import FinDocument
+
+    question = QuestionRecord(text="q", gold_answer="x", gold_inds=tuple(sentences))
+    doc = FinDocument(id="d", question=question if has_question else None)
+    triplets = [_triplet(year=year, value=value) for value, year in cells]
+    assert label_triplets(doc, triplets) == _label_triplets_per_pair(doc, triplets)
 
 
 # ---------------------------------------------------------------------------
