@@ -1,10 +1,12 @@
 import hashlib
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from finkgqa.embedding import (
+    DimensionMismatch,
     EmbeddingConfig,
     EmptyText,
     LocalHashEmbedder,
@@ -12,6 +14,9 @@ from finkgqa.embedding import (
     RemoteEmbedder,
     fallback_embed,
 )
+from finkgqa.kg_schema import make_triplet
+from finkgqa.preprocess import QuestionRecord
+from finkgqa.retriever import build_features
 
 
 def test_local_embed_deterministic():
@@ -58,6 +63,29 @@ def test_similarity_ordering():
     close = fallback_embed("net revenue in 2015")
     far = fallback_embed("lease obligations")
     assert np.dot(anchor.values, close.values) > np.dot(anchor.values, far.values)
+
+
+def test_cosine_dimension_mismatch():
+    # The cosine of two embeddings is the cos_sim column of build_features;
+    # embeddings of different widths must be rejected in either role.
+    a = fallback_embed("x", dim=32)
+    b = fallback_embed("x", dim=64)
+
+    class Fixed:
+        def __init__(self, question, triplet):
+            self.question, self.triplet = question, triplet
+
+        def embed(self, text):
+            return self.question
+
+        def embed_many(self, texts):
+            return np.stack([self.triplet.values] * len(texts))
+
+    question = QuestionRecord(text="x", gold_answer="x")
+    triplets = [make_triplet("NET_REVENUE", Decimal(1), subject="x", source_doc="d")]
+    for q_emb, t_emb in ((a, b), (b, a)):
+        with pytest.raises(DimensionMismatch):
+            build_features(question, triplets, Fixed(q_emb, t_emb))
 
 
 def _reference_embedding(text: str, dim: int) -> np.ndarray:
