@@ -8,15 +8,12 @@ without changing anything downstream.
 from __future__ import annotations
 
 import hashlib
-import os
 import re
-import threading
 from dataclasses import dataclass
 
 import numpy as np
-import requests
 
-from .llm_client import ResponseCache
+from .llm_client import LlmUnavailable, ProviderClient
 
 
 class EmptyText(ValueError):
@@ -25,10 +22,6 @@ class EmptyText(ValueError):
 
 class DimensionMismatch(ValueError):
     """Vectors of different dimensions were combined."""
-
-
-class ProviderUnavailable(RuntimeError):
-    """Remote embedding endpoint failed after retries."""
 
 
 DEFAULT_DIM = 256
@@ -136,71 +129,28 @@ class LocalHashEmbedder:
         return _hashed_bags(texts, self.dim, self._memo)
 
 
-@dataclass(frozen=True)
-class EmbeddingConfig:
-    endpoint: str = ""
-    model_name: str = ""
-    api_key_env: str = "FINKGQA_EMBED_API_KEY"
-    timeout: float = 60.0
-    max_retries: int = 3
+class RemoteEmbedder(ProviderClient):
+    """Provider for a POST {endpoint}/embeddings server, over the shared cached request path."""
 
-
-class RemoteEmbedder:
-    """Provider for a POST {endpoint}/embeddings server, with response caching."""
-
-    def __init__(self, cfg: EmbeddingConfig, cache: ResponseCache | None = None,
-                 transport=None):
-        self.cfg = cfg
-        self.cache = cache or ResponseCache(None)
-        self.transport = transport or self._http_post
-        self.tag = f"remote:{cfg.model_name}"
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def _http_post(url: str, payload: dict, headers: dict, timeout: float):
-        resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-        return resp.status_code, resp.json()
+    @property
+    def tag(self) -> str:
+        return f"remote:{self.cfg.model_name}"
 
     def embed(self, text: str) -> Embedding:
         if not text.strip():
             raise EmptyText("empty text")
         payload = {"model": self.cfg.model_name, "input": text}
-        key = ResponseCache.key_for(payload)
-        with self._lock:
-            body = self.cache.get(key)
-        if body is None:
-            body = self._request(payload)
-            with self._lock:
-                self.cache.put(key, payload, body)
-        try:
-            raw = body["data"][0]["embedding"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ProviderUnavailable(f"malformed embeddings response: {body}") from exc
-        vec = np.asarray(raw, dtype=np.float64)
-        return Embedding(values=_normalized(vec), provider_tag=self.tag)
+        return self._post("/embeddings", payload, self._to_embedding)
 
     def embed_many(self, texts: list[str]) -> np.ndarray:
         """One row per text, each through `embed` and its cache."""
         return np.stack([self.embed(text).values for text in texts])
 
-    def _request(self, payload: dict) -> dict:
-        url = self.cfg.endpoint.rstrip("/") + "/embeddings"
-        headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.cfg.api_key_env, "")
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-        last_error = None
-        for _ in range(self.cfg.max_retries + 1):
-            try:
-                status, body = self.transport(url, payload, headers, self.cfg.timeout)
-            except Exception as exc:
-                last_error = repr(exc)
-                continue
-            if status >= 500:
-                last_error = f"server status {status}"
-                continue
-            if status != 200:
-                raise ProviderUnavailable(f"embeddings endpoint returned {status}")
-            return body
-        raise ProviderUnavailable(f"embeddings endpoint unreachable: {last_error}")
-
+    def _to_embedding(self, body: dict, from_cache: bool) -> Embedding:
+        try:
+            vec = np.asarray(body["data"][0]["embedding"], dtype=np.float64)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise LlmUnavailable(f"malformed embeddings response: {body}") from exc
+        if vec.ndim != 1 or not vec.size:
+            raise LlmUnavailable(f"malformed embeddings response: {body}")
+        return Embedding(values=_normalized(vec), provider_tag=self.tag)

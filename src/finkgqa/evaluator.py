@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 
 from .kg_schema import NotNumeric, parse_numeric
@@ -45,8 +45,6 @@ class RowNotFound(ProgramError):
 @dataclass(frozen=True)
 class JudgeRules:
     rounding_rel_tol: float = 0.01
-    percent_decimal_bridge: bool = True
-    unit_scale_bridge: bool = True
 
     def __post_init__(self):
         if not 0 < self.rounding_rel_tol < 1:
@@ -204,16 +202,15 @@ def _try_parse(text: str):
         return None
 
 
-def _candidates(value, rules: JudgeRules) -> list[Decimal]:
+def _candidates(value) -> list[Decimal]:
     """Numeric readings of one side after unit-scale and percent bridging."""
     out = [value.magnitude]
     unit = value.unit.lower()
-    if rules.unit_scale_bridge:
-        for word, factor in SCALE_FACTORS.items():
-            if word in unit:
-                out.append(value.magnitude * factor)
-                break
-    if rules.percent_decimal_bridge and "percent" in unit:
+    for word, factor in SCALE_FACTORS.items():
+        if word in unit:
+            out.append(value.magnitude * factor)
+            break
+    if "percent" in unit:
         out.append(value.magnitude / 100)
     return out
 
@@ -260,8 +257,8 @@ def numbers_equivalent(pred: str, gold: str, rules: JudgeRules | None = None) ->
         return False
     tol = rules.rounding_rel_tol
     return any(_close(a, b, tol)
-               for a in _candidates(p_val, rules)
-               for b in _candidates(g_val, rules))
+               for a in _candidates(p_val)
+               for b in _candidates(g_val))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +301,6 @@ class EvalRecord:
     gold_exe: Decimal | None = None
     verdict: str = "INCORRECT"  # CORRECT | INCORRECT | JUDGE_ERROR | MISSING
     judge_used: str = "RULES"  # RULES | LLM | NONE
-    retrieved: tuple[str, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
         return {

@@ -7,6 +7,7 @@ table-walking extractor covers offline runs and doubles as a sanity baseline.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from dataclasses import dataclass
@@ -31,6 +32,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_CHUNK_CHARS = 6000
 DEFAULT_CHUNK_OVERLAP = 2
+# A model's literal value beyond 10**±30 is no reported figure; rendering one
+# with a huge exponent in plain notation would also exhaust memory.
+_MAX_VALUE_EXPONENT = 30
 
 
 class NoJsonFound(ValueError):
@@ -46,18 +50,11 @@ class ExtractionResult:
     doc_id: str
     triplets: tuple[Triplet, ...]
     rejected: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    raw_response: str = ""
-    from_cache: bool = False
 
 
-_asset_cache: dict[str, str] = {}
-
-
+@functools.cache
 def load_prompt_asset(path: str | Path | None = None) -> str:
     """Load the extraction rules + few-shot asset, raising on empty content."""
-    key = str(path) if path else "<packaged>"
-    if key in _asset_cache:
-        return _asset_cache[key]
     if path is not None:
         raw = Path(path).read_text(encoding="utf-8")
     else:
@@ -65,8 +62,7 @@ def load_prompt_asset(path: str | Path | None = None) -> str:
             .read_text(encoding="utf-8")
     body = raw.split("# ---\n", 1)[-1].strip()
     if not body:
-        raise PromptAssetError(f"extraction prompt asset {key} is empty")
-    _asset_cache[key] = body
+        raise PromptAssetError(f"extraction prompt asset {path or '<packaged>'} is empty")
     return body
 
 
@@ -113,6 +109,9 @@ def _triplet_from_element(elem: dict, doc_id: str) -> Triplet:
         except InvalidOperation:
             parsed = parse_numeric(str(value_raw))
             value, unit = parsed.magnitude, unit or parsed.unit
+        else:
+            if not value.is_finite() or abs(value.adjusted()) > _MAX_VALUE_EXPONENT:
+                raise NotNumeric(f"value {value_raw!r} is not a finite figure in range")
     if unit == "%":
         unit = "percent"
 
@@ -129,8 +128,7 @@ def _triplet_from_element(elem: dict, doc_id: str) -> Triplet:
     )
 
 
-def parse_extraction_response(raw: str, doc_id: str,
-                              from_cache: bool = False) -> ExtractionResult:
+def parse_extraction_response(raw: str, doc_id: str) -> ExtractionResult:
     """Pull the first JSON array out of a model response and validate every element.
 
     Invalid elements end up in `rejected` with the violated invariants; valid
@@ -163,8 +161,7 @@ def parse_extraction_response(raw: str, doc_id: str,
         seen.add(triplet.triplet_id)
         triplets.append(triplet)
     return ExtractionResult(doc_id=doc_id, triplets=tuple(triplets),
-                            rejected=tuple(rejected), raw_response=raw,
-                            from_cache=from_cache)
+                            rejected=tuple(rejected))
 
 
 def extract_table_triplets(doc: FinDocument) -> list[Triplet]:
@@ -241,9 +238,7 @@ class DocumentExtractor:
 
         triplets: list[Triplet] = []
         rejected: list[tuple[str, tuple[str, ...]]] = []
-        responses: list[str] = []
         seen: set[str] = set()
-        all_cached = True
         pending = list(chunks)
         while pending:
             chunk = pending.pop(0)
@@ -259,13 +254,9 @@ class DocumentExtractor:
                                    "of %d sentences", doc.id, len(chunk))
                     continue
                 rejected.append((" ".join(chunk)[:200], ("LlmTruncated",)))
-                all_cached = False
                 continue
-            all_cached = all_cached and result.from_cache
-            responses.append(result.text)
             try:
-                parsed = parse_extraction_response(result.text, doc.id,
-                                                   from_cache=result.from_cache)
+                parsed = parse_extraction_response(result.text, doc.id)
             except NoJsonFound:
                 logger.warning("doc %s: chunk response had no JSON array", doc.id)
                 rejected.append((result.text[:200], ("NoJsonFound",)))
@@ -276,6 +267,4 @@ class DocumentExtractor:
                     seen.add(t.triplet_id)
                     triplets.append(t)
         return ExtractionResult(doc_id=doc.id, triplets=tuple(triplets),
-                                rejected=tuple(rejected),
-                                raw_response="\n".join(responses),
-                                from_cache=all_cached and bool(chunks))
+                                rejected=tuple(rejected))

@@ -270,27 +270,6 @@ def parse_numeric(raw: str) -> NormalizedValue:
     return NormalizedValue(magnitude, " ".join(parts))
 
 
-_SCALE_POWERS = {"": 0, "thousand": 3, "million": 6, "billion": 9}
-
-
-def rescale_value(value: NormalizedValue, target_scale: str) -> NormalizedValue:
-    """Re-express a value at another scale word, e.g. 100690000 USD as
-    100.69 million USD. Opt-in only: nothing in the pipeline calls this
-    implicitly, so stored values always keep their stated scale.
-    """
-    if target_scale not in _SCALE_POWERS:
-        raise ValueError(f"unknown scale {target_scale!r}")
-    tokens = value.unit.split()
-    current = ""
-    rest = tokens
-    if tokens and tokens[0] in _SCALE_POWERS:
-        current, rest = tokens[0], tokens[1:]
-    shift = _SCALE_POWERS[current] - _SCALE_POWERS[target_scale]
-    magnitude = value.magnitude.scaleb(shift)
-    unit = " ".join(([target_scale] if target_scale else []) + rest)
-    return NormalizedValue(magnitude, unit)
-
-
 def canonical_metric(raw: str) -> str:
     """Uppercase a metric name, collapsing runs of non-alphanumerics to "_"."""
     text = re.sub(r"[^A-Za-z0-9]+", "_", raw).strip("_").upper()

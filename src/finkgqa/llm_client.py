@@ -1,7 +1,8 @@
-"""Chat-completion client: OpenAI-style wire format, disk cache, retries.
+"""Remote provider clients: OpenAI-style wire format, disk cache, retries.
 
-One client serves extraction, reasoning, and the optional answer judge. A
-deterministic in-process mock transport stands in for the server so the whole
+One request path serves every remote provider: the chat client behind
+extraction, reasoning and the optional answer judge, and the remote embedder.
+A deterministic in-process mock transport stands in for the server so the whole
 pipeline can run offline and reproducibly.
 """
 
@@ -16,17 +17,18 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 import requests
 
 logger = logging.getLogger(__name__)
 
 Transport = Callable[[str, dict, dict, float], tuple[int, dict]]
+T = TypeVar("T")
 
 
 class LlmUnavailable(RuntimeError):
-    """Transport kept failing after the configured retries."""
+    """The provider kept failing after the configured retries, or sent a malformed body."""
 
 
 class LlmTruncated(RuntimeError):
@@ -107,8 +109,13 @@ def http_transport(url: str, payload: dict, headers: dict, timeout: float) -> tu
     return resp.status_code, body
 
 
-class ChatClient:
-    """Caching chat client with exponential backoff on transport/5xx errors."""
+class ProviderClient:
+    """The one request path to a remote provider: cache, retries with backoff, validation.
+
+    Subclasses build a payload and a body parser per call; transport errors
+    and 5xx responses are retried, and only a body the parser accepts is
+    cached, so a truncated or malformed one is fetched again on the next call.
+    """
 
     def __init__(self, cfg: LlmConfig, cache: ResponseCache | None = None,
                  transport: Transport | None = None):
@@ -123,12 +130,46 @@ class ChatClient:
             headers["Authorization"] = f"Bearer {api_key}"
         return headers
 
-    def complete(self, prompt: str, temperature: float | None = None) -> ChatResult:
-        """Send one user message; an identical request payload hits the cache.
+    def _post(self, suffix: str, payload: dict, parse: Callable[[dict, bool], T]) -> T:
+        """POST `payload` to the endpoint + `suffix`; an identical payload hits the cache.
 
-        Only responses that pass validation are cached, so a truncated or
-        malformed body is fetched again on the next call.
+        `parse(body, from_cache)` returns the result or raises on a body it rejects.
         """
+        cache_key = ResponseCache.key_for(payload)
+        cached = self.cache.get(cache_key)
+        if cached is not None:
+            return parse(cached, True)
+
+        url = self.cfg.endpoint.rstrip("/") + suffix
+        headers = self._headers()
+        attempts = self.cfg.max_retries + 1
+        last_error: str | None = None
+        for attempt in range(attempts):
+            if attempt:
+                time.sleep(self.cfg.retry_backoff_s * 2 ** (attempt - 1))
+            try:
+                status, body = self.transport(url, payload, headers, self.cfg.timeout)
+            except Exception as exc:
+                last_error = repr(exc)
+                logger.warning("%s attempt %d failed: %s", url, attempt + 1, last_error)
+                continue
+            if status >= 500:
+                last_error = f"server status {status}"
+                logger.warning("%s attempt %d failed: %s", url, attempt + 1, last_error)
+                continue
+            if status != 200:
+                raise LlmUnavailable(f"{url} returned {status}: {body}")
+            result = parse(body, False)
+            self.cache.put(cache_key, payload, body)
+            return result
+        raise LlmUnavailable(f"{url} unreachable after {attempts} attempts: {last_error}")
+
+
+class ChatClient(ProviderClient):
+    """Chat-completions client over the shared cached request path."""
+
+    def complete(self, prompt: str, temperature: float | None = None) -> ChatResult:
+        """Send one user message; an identical request payload hits the cache."""
         temp = self.cfg.temperature if temperature is None else temperature
         payload = {
             "model": self.cfg.model_name,
@@ -136,33 +177,7 @@ class ChatClient:
             "temperature": temp,
             "max_tokens": self.cfg.max_tokens,
         }
-        cache_key = ResponseCache.key_for(payload)
-        cached = self.cache.get(cache_key)
-        if cached is not None:
-            return self._to_result(cached, from_cache=True)
-
-        url = self.cfg.endpoint.rstrip("/") + "/chat/completions"
-        last_error: str | None = None
-        for attempt in range(self.cfg.max_retries + 1):
-            if attempt:
-                time.sleep(self.cfg.retry_backoff_s * 2 ** (attempt - 1))
-            try:
-                status, body = self.transport(url, payload, self._headers(), self.cfg.timeout)
-            except Exception as exc:
-                last_error = repr(exc)
-                logger.warning("chat attempt %d failed: %s", attempt + 1, last_error)
-                continue
-            if status >= 500:
-                last_error = f"server status {status}"
-                logger.warning("chat attempt %d failed: %s", attempt + 1, last_error)
-                continue
-            if status != 200:
-                raise LlmUnavailable(f"chat endpoint returned {status}: {body}")
-            result = self._to_result(body, from_cache=False)
-            self.cache.put(cache_key, payload, body)
-            return result
-        raise LlmUnavailable(f"chat endpoint unreachable after "
-                             f"{self.cfg.max_retries + 1} attempts: {last_error}")
+        return self._post("/chat/completions", payload, self._to_result)
 
     @staticmethod
     def _to_result(body: dict, from_cache: bool) -> ChatResult:
@@ -175,12 +190,6 @@ class ChatClient:
         if finish == "length":
             raise LlmTruncated("response hit the max_tokens limit")
         return ChatResult(text=text, from_cache=from_cache, finish_reason=finish)
-
-
-def call_llm(prompt: str, cfg: LlmConfig, cache: ResponseCache | None = None,
-             transport: Transport | None = None) -> str:
-    """Convenience wrapper returning just the assistant text."""
-    return ChatClient(cfg, cache=cache, transport=transport).complete(prompt).text
 
 
 def chat_response(text: str, finish_reason: str = "stop") -> dict:

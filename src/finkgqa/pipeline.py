@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluator, extraction, reasoner, retriever
-from .embedding import EmbeddingConfig, LocalHashEmbedder, RemoteEmbedder
+from .embedding import LocalHashEmbedder, RemoteEmbedder
 from .evaluator import EvalRecord, JudgeRules
 from .extraction import DocumentExtractor
 from .kg_schema import parse_triplets_file, serialize_triplets
@@ -160,14 +160,18 @@ def _mock_answer_key(path: str) -> dict[str, str]:
     return key
 
 
+def _llm_config(provider: ProviderConfig, model_name: str) -> LlmConfig:
+    return LlmConfig(model_name=model_name,
+                     temperature=provider.temperature,
+                     max_tokens=provider.max_tokens,
+                     endpoint=provider.endpoint,
+                     api_key_env=provider.api_key_env,
+                     max_retries=provider.max_retries,
+                     timeout=provider.timeout)
+
+
 def build_chat_client(provider: ProviderConfig, cache_dir: str | None) -> ChatClient:
-    cfg = LlmConfig(model_name=provider.model or "mock-chat",
-                    temperature=provider.temperature,
-                    max_tokens=provider.max_tokens,
-                    endpoint=provider.endpoint,
-                    api_key_env=provider.api_key_env,
-                    max_retries=provider.max_retries,
-                    timeout=provider.timeout)
+    cfg = _llm_config(provider, provider.model or "mock-chat")
     cache = ResponseCache(cache_dir)
     if provider.kind == "mock":
         transport = MockChatTransport(answer_key=_mock_answer_key(provider.answer_key),
@@ -182,10 +186,8 @@ def build_embedder(provider: ProviderConfig, cache_dir: str | None):
     if provider.kind == "local":
         return LocalHashEmbedder(dim=provider.dim)
     if provider.kind == "http":
-        cfg = EmbeddingConfig(endpoint=provider.endpoint, model_name=provider.model,
-                              api_key_env=provider.api_key_env,
-                              timeout=provider.timeout, max_retries=provider.max_retries)
-        return RemoteEmbedder(cfg, cache=ResponseCache(cache_dir))
+        return RemoteEmbedder(_llm_config(provider, provider.model),
+                              cache=ResponseCache(cache_dir))
     raise ValueError(f"unsupported embeddings provider kind: {provider.kind}")
 
 
@@ -430,7 +432,6 @@ def cmd_evaluate(cfg: PipelineConfig, split: str, mode: str) -> dict:
             predicted=predicted,
             gold=doc.question.gold_answer,
             gold_exe=doc.question.gold_exe_answer,
-            retrieved=tuple(entry.get("retrieved", ())),
         ))
     # Every split document is in the denominator: one without a prediction is wrong.
     answered = {r.doc_id for r in records}

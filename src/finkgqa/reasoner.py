@@ -11,10 +11,6 @@ from .preprocess import QuestionRecord
 from .kg_schema import Triplet
 
 
-class NoAnswerLine(ValueError):
-    """The response carries no ANSWER: line (handled via last-line fallback)."""
-
-
 @dataclass(frozen=True)
 class Answer:
     raw_text: str

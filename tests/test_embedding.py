@@ -7,14 +7,13 @@ from hypothesis import example, given, strategies as st
 
 from finkgqa.embedding import (
     DimensionMismatch,
-    EmbeddingConfig,
     EmptyText,
     LocalHashEmbedder,
-    ProviderUnavailable,
     RemoteEmbedder,
     fallback_embed,
 )
 from finkgqa.kg_schema import make_triplet
+from finkgqa.llm_client import LlmConfig, LlmUnavailable, ResponseCache
 from finkgqa.preprocess import QuestionRecord
 from finkgqa.retriever import build_features
 
@@ -142,17 +141,20 @@ def test_fallback_norm_property(s):
 # Remote provider
 
 
-def test_remote_embedder_normalizes_and_caches(tmp_path):
-    from finkgqa.llm_client import ResponseCache
+def _remote_cfg(**kw):
+    return LlmConfig(**{"endpoint": "http://e", "model_name": "m",
+                        "retry_backoff_s": 0.0, **kw})
 
+
+def test_remote_embedder_normalizes_and_caches(tmp_path):
     calls = []
 
     def transport(url, payload, headers, timeout):
         calls.append((url, payload))
         return 200, {"data": [{"embedding": [3.0, 4.0]}]}
 
-    embedder = RemoteEmbedder(EmbeddingConfig(endpoint="http://e", model_name="m"),
-                              cache=ResponseCache(tmp_path), transport=transport)
+    embedder = RemoteEmbedder(_remote_cfg(), cache=ResponseCache(tmp_path),
+                              transport=transport)
     first = embedder.embed("hello")
     assert np.allclose(first.values, [0.6, 0.8])
     assert first.provider_tag == "remote:m"
@@ -166,10 +168,46 @@ def test_remote_embedder_unavailable():
     def transport(url, payload, headers, timeout):
         return 500, {}
 
-    embedder = RemoteEmbedder(EmbeddingConfig(endpoint="http://e", model_name="m",
-                                              max_retries=1), transport=transport)
-    with pytest.raises(ProviderUnavailable):
+    embedder = RemoteEmbedder(_remote_cfg(max_retries=1), transport=transport)
+    with pytest.raises(LlmUnavailable):
         embedder.embed("hello")
+
+
+@pytest.mark.parametrize("malformed", [
+    {"unexpected": "shape"},
+    {"data": [{"embedding": ["not", "numbers"]}]},
+    {"data": [{"embedding": []}]},
+    {"data": [{"embedding": [[1.0, 2.0]]}]},
+])
+def test_remote_embedder_refetches_after_malformed_body(tmp_path, malformed):
+    bodies = [malformed, {"data": [{"embedding": [3.0, 4.0]}]}]
+    calls = []
+
+    def transport(url, payload, headers, timeout):
+        calls.append(payload)
+        return 200, bodies[len(calls) - 1]
+
+    embedder = RemoteEmbedder(_remote_cfg(), cache=ResponseCache(tmp_path),
+                              transport=transport)
+    with pytest.raises(LlmUnavailable):
+        embedder.embed("hello")
+    assert list(tmp_path.glob("*.json")) == []
+    assert np.allclose(embedder.embed("hello").values, [0.6, 0.8])
+    assert len(calls) == 2
+
+
+def test_remote_embedder_backs_off_between_retries(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    statuses = iter([500, 503, 502, 200])
+
+    def transport(url, payload, headers, timeout):
+        return next(statuses), {"data": [{"embedding": [1.0, 0.0]}]}
+
+    embedder = RemoteEmbedder(_remote_cfg(max_retries=3, retry_backoff_s=0.25),
+                              transport=transport)
+    assert np.array_equal(embedder.embed("hello").values, [1.0, 0.0])
+    assert sleeps == [0.25, 0.5, 1.0]
 
 
 def test_provider_objects_share_interface():

@@ -108,6 +108,15 @@ def test_non_numeric_value_rejected():
     assert result.rejected[0][1] == ("ValueNotNumeric",)
 
 
+@pytest.mark.parametrize("value", ["1e999999999999999999", "1e100000", "1e-100000",
+                                   "NaN", "Infinity", "-Infinity", "sNaN"])
+def test_value_out_of_decimal_range_rejected(value):
+    bad = dict(ENTERGY_ELEMENT, value=value)
+    result = parse_extraction_response(json.dumps([bad, ENTERGY_ELEMENT]), "d")
+    assert result.rejected == ((json.dumps(bad), ("ValueNotNumeric",)),)
+    assert [t.value for t in result.triplets] == [Decimal("5829")]
+
+
 def test_every_rejection_kind_records_its_element_as_dumped(monkeypatch):
     from finkgqa import extraction
 

@@ -19,7 +19,6 @@ from finkgqa.kg_schema import (
     period_from_string,
     relation_for_period,
     render_decimal,
-    rescale_value,
     serialize_triplets,
     triplet_id_for,
     validate_triplet,
@@ -134,20 +133,6 @@ def test_unit_carries_no_sign_or_grouping():
     value = parse_numeric("($1,234.5) million")
     assert value.magnitude == Decimal("-1234.5")
     assert "-" not in value.unit and "," not in value.unit
-
-
-def test_rescale_is_explicit_opt_in():
-    # Parsing keeps the stated scale; rescaling only happens on request.
-    value = parse_numeric("$100,690,000")
-    assert value == NormalizedValue(Decimal("100690000"), "USD")
-    scaled = rescale_value(value, "million")
-    assert scaled.magnitude == Decimal("100.69")
-    assert scaled.unit == "million USD"
-    back = rescale_value(scaled, "")
-    assert back.magnitude == Decimal("100690000")
-    assert back.unit == "USD"
-    up = rescale_value(NormalizedValue(Decimal("1.2"), "billion USD"), "million")
-    assert up == NormalizedValue(Decimal("1200"), "million USD")
 
 
 UNIT_VOCAB = ["", "USD", "percent", "million USD", "billion USD",

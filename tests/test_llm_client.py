@@ -11,7 +11,6 @@ from finkgqa.llm_client import (
     LlmUnavailable,
     MockChatTransport,
     ResponseCache,
-    call_llm,
     chat_response,
 )
 
@@ -61,7 +60,7 @@ def test_wire_format_and_passthrough(scripted_server, monkeypatch):
     url, handler = scripted_server
     monkeypatch.setenv("FINKGQA_API_KEY", "sekrit")
     handler.script.append((200, chat_response('{"fixed": "json"}')))
-    text = call_llm("hello there", _cfg(url))
+    text = ChatClient(_cfg(url)).complete("hello there").text
     assert text == '{"fixed": "json"}'
 
     sent = handler.requests[0]
