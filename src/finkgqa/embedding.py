@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,26 +26,13 @@ class DimensionMismatch(ValueError):
 DEFAULT_DIM = 256
 
 
-@dataclass(frozen=True, eq=False)
-class Embedding:
-    """Unit-norm vector tagged with the provider that produced it."""
-
-    values: np.ndarray
-    provider_tag: str
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
-
-
-def _normalized(vec: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        # A zero vector has no direction; pin a fixed one, as the hashing bags do.
-        vec = vec.copy()
-        vec[0] = 1.0
-        norm = 1.0
-    return vec / norm
+def _unit_rows(V: np.ndarray) -> np.ndarray:
+    """Each row of V scaled to unit norm; a zero row has no direction, so it becomes e0."""
+    norms = np.sqrt(np.einsum("ij,ij->i", V, V))
+    zero = norms == 0.0
+    V[zero, 0] = 1.0
+    norms[zero] = 1.0
+    return V / norms[:, None]
 
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -90,26 +76,14 @@ def _hashed_bags(texts: list[str], dim: int, memo: dict) -> np.ndarray:
     rows = np.repeat(np.arange(n), lengths)
     V = np.bincount(rows * dim + np.asarray(buckets, dtype=np.intp),
                     weights=signs, minlength=n * dim).reshape(n, dim)
-    norms = np.sqrt(np.einsum("ij,ij->i", V, V))
-    # Signed hashing can cancel exactly; pin a fixed direction instead.
-    zero = norms == 0.0
-    V[zero, 0] = 1.0
-    norms[zero] = 1.0
-    return V / norms[:, None]
-
-
-def fallback_embed(text: str, dim: int = DEFAULT_DIM) -> Embedding:
-    """Hash word tokens and in-word character trigrams into a signed bag vector.
-
-    Pure function of (text, dim): word order never matters, token counts do.
-    """
-    return Embedding(values=_hashed_bags([text], dim, {})[0],
-                     provider_tag=f"local-hash-{dim}")
+    return _unit_rows(V)  # signed hashing can cancel a text to zero
 
 
 class LocalHashEmbedder:
-    """Offline provider computing fallback_embed at a fixed dimension.
+    """Offline provider: word tokens and in-word character trigrams hashed into
+    a signed bag, one unit vector of `dim` entries per text.
 
+    A pure function of (text, dim): word order never matters, token counts do.
     Token hashes are memoised per instance: metric, relation, unit and year
     tokens recur in nearly every triplet text. Concurrent writes to the memo
     store the same value under a key, so threads share it without a lock.
@@ -117,40 +91,35 @@ class LocalHashEmbedder:
 
     def __init__(self, dim: int = DEFAULT_DIM):
         self.dim = dim
-        self.tag = f"local-hash-{dim}"
         self._memo: dict[str, tuple[tuple[int, ...], tuple[float, ...]]] = {}
 
-    def embed(self, text: str) -> Embedding:
-        return Embedding(values=_hashed_bags([text], self.dim, self._memo)[0],
-                         provider_tag=self.tag)
+    def embed(self, text: str) -> np.ndarray:
+        return _hashed_bags([text], self.dim, self._memo)[0]
 
     def embed_many(self, texts: list[str]) -> np.ndarray:
-        """Rows equal to `embed(text).values`, for every text in one pass."""
+        """Rows equal to `embed(text)`, for every text in one pass."""
         return _hashed_bags(texts, self.dim, self._memo)
 
 
 class RemoteEmbedder(ProviderClient):
     """Provider for a POST {endpoint}/embeddings server, over the shared cached request path."""
 
-    @property
-    def tag(self) -> str:
-        return f"remote:{self.cfg.model_name}"
-
-    def embed(self, text: str) -> Embedding:
+    def embed(self, text: str) -> np.ndarray:
         if not text.strip():
             raise EmptyText("empty text")
         payload = {"model": self.cfg.model_name, "input": text}
-        return self._post("/embeddings", payload, self._to_embedding)
+        return self._post("/embeddings", payload, self._unit_vector)
 
     def embed_many(self, texts: list[str]) -> np.ndarray:
         """One row per text, each through `embed` and its cache."""
-        return np.stack([self.embed(text).values for text in texts])
+        return np.stack([self.embed(text) for text in texts])
 
-    def _to_embedding(self, body: dict, from_cache: bool) -> Embedding:
+    @staticmethod
+    def _unit_vector(body: dict) -> np.ndarray:
         try:
-            vec = np.asarray(body["data"][0]["embedding"], dtype=np.float64)
+            vec = np.array(body["data"][0]["embedding"], dtype=np.float64)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise LlmUnavailable(f"malformed embeddings response: {body}") from exc
         if vec.ndim != 1 or not vec.size:
             raise LlmUnavailable(f"malformed embeddings response: {body}")
-        return Embedding(values=_normalized(vec), provider_tag=self.tag)
+        return _unit_rows(vec[None, :])[0]

@@ -16,6 +16,8 @@ from .reasoner import Answer
 
 SCALE_FACTORS = {"thousand": Decimal(10) ** 3, "million": Decimal(10) ** 6,
                  "billion": Decimal(10) ** 9}
+# Two numeric answers match when they differ by at most this share of either one.
+ROUNDING_REL_TOL = 0.01
 
 
 class EmptyInput(ValueError):
@@ -40,15 +42,6 @@ class BadReference(ProgramError):
 
 class RowNotFound(ProgramError):
     pass
-
-
-@dataclass(frozen=True)
-class JudgeRules:
-    rounding_rel_tol: float = 0.01
-
-    def __post_init__(self):
-        if not 0 < self.rounding_rel_tol < 1:
-            raise ValueError("rounding_rel_tol must be in (0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -215,26 +208,25 @@ def _candidates(value) -> list[Decimal]:
     return out
 
 
-def _close(a: Decimal, b: Decimal, tol: float) -> bool:
+def _close(a: Decimal, b: Decimal) -> bool:
     if a == b:
         return True
     fa, fb = float(a), float(b)
-    slack = tol + 1e-12
+    slack = ROUNDING_REL_TOL + 1e-12
     for denom in (fb, fa):
         if denom != 0 and abs(fa - fb) / abs(denom) <= slack:
             return True
     return False
 
 
-def numbers_equivalent(pred: str, gold: str, rules: JudgeRules | None = None) -> bool:
+def numbers_equivalent(pred: str, gold: str) -> bool:
     """Decide whether two answer strings mean the same number.
 
-    Numeric answers match within the relative rounding tolerance after
-    unit-scale expansion (K/M/B) and percent/decimal bridging in both
-    directions; 1/0 bridges to yes/no; everything else falls back to
-    case-insensitive string equality. Symmetric by construction.
+    Numeric answers match within ROUNDING_REL_TOL after unit-scale expansion
+    (K/M/B) and percent/decimal bridging in both directions; 1/0 bridges to
+    yes/no; everything else falls back to case-insensitive string equality.
+    Symmetric by construction.
     """
-    rules = rules or JudgeRules()
     p_raw = str(pred).strip()
     g_raw = str(gold).strip()
     if p_raw.lower() == g_raw.lower():
@@ -255,8 +247,7 @@ def numbers_equivalent(pred: str, gold: str, rules: JudgeRules | None = None) ->
 
     if p_val is None or g_val is None:
         return False
-    tol = rules.rounding_rel_tol
-    return any(_close(a, b, tol)
+    return any(_close(a, b)
                for a in _candidates(p_val)
                for b in _candidates(g_val))
 
@@ -282,7 +273,7 @@ class JudgeIndecisive(RuntimeError):
 def judge_with_llm(pred: str, gold: str, client: ChatClient) -> bool:
     """Ask the configured judge model for a verdict at temperature 0."""
     prompt = JUDGE_PROMPT.format(pred=pred, gold=gold)
-    text = client.complete(prompt, temperature=0.0).text.strip().upper()
+    text = client.complete(prompt, temperature=0.0).strip().upper()
     if text.startswith("YES"):
         return True
     if text.startswith("NO"):
@@ -317,15 +308,14 @@ def _rules_inconclusive(pred: str, gold: str) -> bool:
         and pred.strip().lower() != gold.strip().lower()
 
 
-def judge_record(record: EvalRecord, rules: JudgeRules,
-                 judge_client: ChatClient | None = None) -> EvalRecord:
+def judge_record(record: EvalRecord, judge_client: ChatClient | None = None) -> EvalRecord:
     """Fill in the verdict, preferring the deterministic rules judge."""
     if record.verdict == "MISSING":  # no prediction: nothing to judge
         return record
     pred = record.predicted.raw_text
-    correct = numbers_equivalent(pred, record.gold, rules)
+    correct = numbers_equivalent(pred, record.gold)
     if not correct and record.gold_exe is not None:
-        correct = numbers_equivalent(pred, str(record.gold_exe), rules)
+        correct = numbers_equivalent(pred, str(record.gold_exe))
 
     if not correct and judge_client is not None \
             and record.predicted.kind == "TEXT" \
@@ -340,13 +330,12 @@ def judge_record(record: EvalRecord, rules: JudgeRules,
     return record
 
 
-def evaluate_split(records: list[EvalRecord], rules: JudgeRules | None = None,
+def evaluate_split(records: list[EvalRecord],
                    judge_client: ChatClient | None = None) -> tuple[float, list[EvalRecord]]:
     """Judge every record; accuracy counts JUDGE_ERROR and MISSING as incorrect."""
     if not records:
         raise EmptyInput("no records to evaluate")
-    rules = rules or JudgeRules()
-    judged = [judge_record(r, rules, judge_client) for r in records]
+    judged = [judge_record(r, judge_client) for r in records]
     correct = sum(1 for r in judged if r.verdict == "CORRECT")
     return correct / len(judged), judged
 

@@ -244,7 +244,7 @@ class DocumentExtractor:
             chunk = pending.pop(0)
             prompt = build_extraction_prompt(" ".join(chunk), self.asset_path)
             try:
-                result = self.client.complete(prompt)
+                reply = self.client.complete(prompt)
             except LlmTruncated:
                 if len(chunk) > 1:
                     # Response hit the token limit; retry on smaller pieces.
@@ -256,10 +256,10 @@ class DocumentExtractor:
                 rejected.append((" ".join(chunk)[:200], ("LlmTruncated",)))
                 continue
             try:
-                parsed = parse_extraction_response(result.text, doc.id)
+                parsed = parse_extraction_response(reply, doc.id)
             except NoJsonFound:
                 logger.warning("doc %s: chunk response had no JSON array", doc.id)
-                rejected.append((result.text[:200], ("NoJsonFound",)))
+                rejected.append((reply[:200], ("NoJsonFound",)))
                 continue
             rejected.extend(parsed.rejected)
             for t in parsed.triplets:

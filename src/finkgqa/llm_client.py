@@ -55,13 +55,6 @@ class LlmConfig:
             raise ValueError("max_retries must be >= 0")
 
 
-@dataclass(frozen=True)
-class ChatResult:
-    text: str
-    from_cache: bool = False
-    finish_reason: str = "stop"
-
-
 class ResponseCache:
     """One file per request hash, holding request, response, and timestamp."""
 
@@ -130,15 +123,15 @@ class ProviderClient:
             headers["Authorization"] = f"Bearer {api_key}"
         return headers
 
-    def _post(self, suffix: str, payload: dict, parse: Callable[[dict, bool], T]) -> T:
+    def _post(self, suffix: str, payload: dict, parse: Callable[[dict], T]) -> T:
         """POST `payload` to the endpoint + `suffix`; an identical payload hits the cache.
 
-        `parse(body, from_cache)` returns the result or raises on a body it rejects.
+        `parse(body)` returns the result or raises on a body it rejects.
         """
         cache_key = ResponseCache.key_for(payload)
         cached = self.cache.get(cache_key)
         if cached is not None:
-            return parse(cached, True)
+            return parse(cached)
 
         url = self.cfg.endpoint.rstrip("/") + suffix
         headers = self._headers()
@@ -159,7 +152,7 @@ class ProviderClient:
                 continue
             if status != 200:
                 raise LlmUnavailable(f"{url} returned {status}: {body}")
-            result = parse(body, False)
+            result = parse(body)
             self.cache.put(cache_key, payload, body)
             return result
         raise LlmUnavailable(f"{url} unreachable after {attempts} attempts: {last_error}")
@@ -168,8 +161,8 @@ class ProviderClient:
 class ChatClient(ProviderClient):
     """Chat-completions client over the shared cached request path."""
 
-    def complete(self, prompt: str, temperature: float | None = None) -> ChatResult:
-        """Send one user message; an identical request payload hits the cache."""
+    def complete(self, prompt: str, temperature: float | None = None) -> str:
+        """The reply to one user message; an identical request payload hits the cache."""
         temp = self.cfg.temperature if temperature is None else temperature
         payload = {
             "model": self.cfg.model_name,
@@ -177,19 +170,18 @@ class ChatClient(ProviderClient):
             "temperature": temp,
             "max_tokens": self.cfg.max_tokens,
         }
-        return self._post("/chat/completions", payload, self._to_result)
+        return self._post("/chat/completions", payload, self._reply_text)
 
     @staticmethod
-    def _to_result(body: dict, from_cache: bool) -> ChatResult:
+    def _reply_text(body: dict) -> str:
         try:
             choice = body["choices"][0]
             text = choice["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise LlmUnavailable(f"malformed chat response: {body}") from exc
-        finish = choice.get("finish_reason", "stop")
-        if finish == "length":
+        if choice.get("finish_reason") == "length":
             raise LlmTruncated("response hit the max_tokens limit")
-        return ChatResult(text=text, from_cache=from_cache, finish_reason=finish)
+        return text
 
 
 def chat_response(text: str, finish_reason: str = "stop") -> dict:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import evaluator, extraction, reasoner, retriever
 from .embedding import LocalHashEmbedder, RemoteEmbedder
-from .evaluator import EvalRecord, JudgeRules
+from .evaluator import EvalRecord
 from .extraction import DocumentExtractor
 from .kg_schema import parse_triplets_file, serialize_triplets
 from .llm_client import ChatClient, LlmConfig, MockChatTransport, ResponseCache
@@ -448,8 +448,7 @@ def cmd_evaluate(cfg: PipelineConfig, split: str, mode: str) -> dict:
     judge_client = None
     if cfg.judge.kind in ("http", "mock"):
         judge_client = build_chat_client(cfg.judge, cfg.cache_dir)
-    accuracy, judged = evaluator.evaluate_split(records, JudgeRules(),
-                                                judge_client=judge_client)
+    accuracy, judged = evaluator.evaluate_split(records, judge_client=judge_client)
     _write_atomic(verdicts_path(cfg, split, mode), evaluator.verdicts_jsonl(judged))
     summary = {
         "split": split,
@@ -487,17 +486,3 @@ def cmd_report(cfg: PipelineConfig, baseline: str | float, treatment: str | floa
     table = evaluator.format_report(base, treat, cfg.baseline_label, cfg.treatment_label)
     _write_atomic(report_path(cfg), table)
     return table
-
-
-def run_full_pipeline(cfg: PipelineConfig, split: str = "test") -> dict:
-    """ingest -> extract -> train-retriever -> answer (both modes) -> evaluate -> report."""
-    cmd_ingest(cfg)
-    cmd_extract(cfg)
-    cmd_train_retriever(cfg)
-    cmd_answer(cfg, split, "vanilla")
-    cmd_answer(cfg, split, "kg")
-    vanilla = cmd_evaluate(cfg, split, "vanilla")
-    kg = cmd_evaluate(cfg, split, "kg")
-    if vanilla["accuracy_pct"] > 0:
-        cmd_report(cfg, vanilla["accuracy_pct"], kg["accuracy_pct"])
-    return {"vanilla": vanilla, "kg": kg}

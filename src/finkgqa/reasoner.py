@@ -87,10 +87,10 @@ def parse_answer(raw: str) -> Answer:
 def answer_question(question: QuestionRecord | str, triplets: list[Triplet],
                     client: ChatClient) -> Answer:
     """Ask the model to answer from the filtered facts."""
-    return parse_answer(client.complete(build_reasoning_prompt(question, triplets)).text)
+    return parse_answer(client.complete(build_reasoning_prompt(question, triplets)))
 
 
 def answer_from_text(question: QuestionRecord | str, doc_text: str,
                      client: ChatClient) -> Answer:
     """Baseline route: ask the model to answer from the raw document text."""
-    return parse_answer(client.complete(build_text_prompt(question, doc_text)).text)
+    return parse_answer(client.complete(build_text_prompt(question, doc_text)))

@@ -70,9 +70,8 @@ def build_features(question: QuestionRecord, triplets: list[Triplet],
     The question-side work (embedding, year, tokens) is done once, and every
     candidate is embedded by one `provider.embed_many` call.
     """
-    q_emb = provider.embed(question.text)
-    q = q_emb.values
-    dim = q_emb.dim
+    q = provider.embed(question.text)
+    dim = q.shape[0]
     X = np.empty((len(triplets), feature_dim(dim)), dtype=np.float64)
     if not triplets:
         return X
@@ -156,14 +155,19 @@ def _sigmoid(z):
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _forward(m: MlpModel, X: np.ndarray):
+    """(pre-activations Z1, hidden layer H, scores s strictly inside (0, 1))."""
+    Z1 = X @ m.W1.T + m.b1
+    H = np.maximum(Z1, 0.0)
+    z2 = H @ m.W2 + m.b2
+    return Z1, H, np.clip(_sigmoid(z2), SCORE_EPS, 1.0 - SCORE_EPS)
+
+
 def forward_batch(m: MlpModel, X: np.ndarray) -> np.ndarray:
     """Score each row of X; every score lies strictly inside (0, 1)."""
     if X.shape[1] != m.input_dim:
         raise DimensionMismatch(f"input dim {X.shape[1]} != model dim {m.input_dim}")
-    Z1 = X @ m.W1.T + m.b1
-    H = np.maximum(Z1, 0.0)
-    z2 = H @ m.W2 + m.b2
-    return np.clip(_sigmoid(z2), SCORE_EPS, 1.0 - SCORE_EPS)
+    return _forward(m, X)[2]
 
 
 def bce_loss(scores, labels, positive_weight: float = 1.0) -> float:
@@ -181,10 +185,7 @@ def loss_and_gradients(m: MlpModel, X: np.ndarray, y: np.ndarray,
                        positive_weight: float = 1.0):
     """Backprop through the weighted BCE; returns (loss, grads per parameter)."""
     n = X.shape[0]
-    Z1 = X @ m.W1.T + m.b1
-    H = np.maximum(Z1, 0.0)
-    z2 = H @ m.W2 + m.b2
-    s = np.clip(_sigmoid(z2), SCORE_EPS, 1.0 - SCORE_EPS)
+    Z1, H, s = _forward(m, X)
     loss = bce_loss(s, y, positive_weight)
 
     # d(loss)/d(z2) for the weighted BCE, averaged over the batch.

@@ -10,7 +10,6 @@ from finkgqa.embedding import (
     EmptyText,
     LocalHashEmbedder,
     RemoteEmbedder,
-    fallback_embed,
 )
 from finkgqa.kg_schema import make_triplet
 from finkgqa.llm_client import LlmConfig, LlmUnavailable, ResponseCache
@@ -18,57 +17,59 @@ from finkgqa.preprocess import QuestionRecord
 from finkgqa.retriever import build_features
 
 
+def fresh_embed(text: str, dim: int = 256) -> np.ndarray:
+    """The local embedding of `text` from an embedder with an empty token memo."""
+    return LocalHashEmbedder(dim).embed(text)
+
+
 def test_local_embed_deterministic():
-    a = fallback_embed("x")
-    b = fallback_embed("x")
-    assert np.array_equal(a.values, b.values)
-    assert a.provider_tag == b.provider_tag == "local-hash-256"
+    assert np.array_equal(fresh_embed("x"), fresh_embed("x"))
 
 
 def test_unit_norm():
     for text in ("x", "net revenue in 2015", "a b c d e f g"):
-        vec = fallback_embed(text).values
+        vec = fresh_embed(text)
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-6
 
 
 def test_empty_text_rejected():
     with pytest.raises(EmptyText):
-        fallback_embed("")
+        fresh_embed("")
     with pytest.raises(EmptyText):
-        fallback_embed("   !!!   ")
+        fresh_embed("   !!!   ")
 
 
 def test_min_dimension():
     with pytest.raises(ValueError):
-        fallback_embed("x", dim=8)
-    with pytest.raises(ValueError):
         LocalHashEmbedder(dim=8).embed("x")
+    with pytest.raises(ValueError):
+        LocalHashEmbedder(dim=8).embed_many(["x"])
 
 
 def test_repeated_token_same_direction():
-    once = fallback_embed("aa")
-    twice = fallback_embed("aa aa")
-    assert abs(float(np.dot(once.values, twice.values)) - 1.0) < 1e-6
+    once = fresh_embed("aa")
+    twice = fresh_embed("aa aa")
+    assert abs(float(np.dot(once, twice)) - 1.0) < 1e-6
 
 
 def test_bag_model_ignores_word_order():
-    a = fallback_embed("net revenue grew in 2015")
-    b = fallback_embed("2015 in grew revenue net")
-    assert np.array_equal(a.values, b.values)
+    a = fresh_embed("net revenue grew in 2015")
+    b = fresh_embed("2015 in grew revenue net")
+    assert np.array_equal(a, b)
 
 
 def test_similarity_ordering():
-    anchor = fallback_embed("net revenue 2015")
-    close = fallback_embed("net revenue in 2015")
-    far = fallback_embed("lease obligations")
-    assert np.dot(anchor.values, close.values) > np.dot(anchor.values, far.values)
+    anchor = fresh_embed("net revenue 2015")
+    close = fresh_embed("net revenue in 2015")
+    far = fresh_embed("lease obligations")
+    assert np.dot(anchor, close) > np.dot(anchor, far)
 
 
 def test_cosine_dimension_mismatch():
     # The cosine of two embeddings is the cos_sim column of build_features;
     # embeddings of different widths must be rejected in either role.
-    a = fallback_embed("x", dim=32)
-    b = fallback_embed("x", dim=64)
+    a = fresh_embed("x", dim=32)
+    b = fresh_embed("x", dim=64)
 
     class Fixed:
         def __init__(self, question, triplet):
@@ -78,7 +79,7 @@ def test_cosine_dimension_mismatch():
             return self.question
 
         def embed_many(self, texts):
-            return np.stack([self.triplet.values] * len(texts))
+            return np.stack([self.triplet] * len(texts))
 
     question = QuestionRecord(text="x", gold_answer="x")
     triplets = [make_triplet("NET_REVENUE", Decimal(1), subject="x", source_doc="d")]
@@ -124,17 +125,17 @@ CANCELLING = "c 7"
 @example(CANCELLING, 16)
 @given(texts, st.sampled_from([16, 64, 256]))
 def test_matches_independent_reimplementation(text, dim):
-    assert fallback_embed(text, dim=dim).values.tobytes() == \
+    assert fresh_embed(text, dim=dim).tobytes() == \
         _reference_embedding(text, dim).tobytes()
 
 
 def test_cancelling_text_pins_first_axis():
-    assert fallback_embed(CANCELLING, dim=16).values.tolist() == [1.0] + [0.0] * 15
+    assert fresh_embed(CANCELLING, dim=16).tolist() == [1.0] + [0.0] * 15
 
 
 @given(texts)
 def test_fallback_norm_property(s):
-    assert abs(np.linalg.norm(fallback_embed(s, dim=64).values) - 1.0) < 1e-6
+    assert abs(np.linalg.norm(fresh_embed(s, dim=64)) - 1.0) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +157,10 @@ def test_remote_embedder_normalizes_and_caches(tmp_path):
     embedder = RemoteEmbedder(_remote_cfg(), cache=ResponseCache(tmp_path),
                               transport=transport)
     first = embedder.embed("hello")
-    assert np.allclose(first.values, [0.6, 0.8])
-    assert first.provider_tag == "remote:m"
+    assert np.allclose(first, [0.6, 0.8])
     second = embedder.embed("hello")
-    assert np.array_equal(first.values, second.values)
-    assert embedder.embed_many(["hello", "hello"]).tobytes() == first.values.tobytes() * 2
+    assert np.array_equal(first, second)
+    assert embedder.embed_many(["hello", "hello"]).tobytes() == first.tobytes() * 2
     assert calls == [("http://e/embeddings", {"model": "m", "input": "hello"})]
 
 
@@ -192,7 +192,7 @@ def test_remote_embedder_refetches_after_malformed_body(tmp_path, malformed):
     with pytest.raises(LlmUnavailable):
         embedder.embed("hello")
     assert list(tmp_path.glob("*.json")) == []
-    assert np.allclose(embedder.embed("hello").values, [0.6, 0.8])
+    assert np.allclose(embedder.embed("hello"), [0.6, 0.8])
     assert len(calls) == 2
 
 
@@ -206,15 +206,21 @@ def test_remote_embedder_backs_off_between_retries(monkeypatch):
 
     embedder = RemoteEmbedder(_remote_cfg(max_retries=3, retry_backoff_s=0.25),
                               transport=transport)
-    assert np.array_equal(embedder.embed("hello").values, [1.0, 0.0])
+    assert np.array_equal(embedder.embed("hello"), [1.0, 0.0])
     assert sleeps == [0.25, 0.5, 1.0]
 
 
+def test_remote_zero_vector_pins_first_axis():
+    def transport(url, payload, headers, timeout):
+        return 200, {"data": [{"embedding": [0.0, 0.0]}]}
+
+    embedder = RemoteEmbedder(_remote_cfg(), transport=transport)
+    assert embedder.embed("hello").tolist() == [1.0, 0.0]
+
+
 def test_provider_objects_share_interface():
-    local = LocalHashEmbedder(dim=64)
-    vec = local.embed("net revenue")
-    assert vec.dim == 64
-    assert vec.provider_tag == local.tag
+    vec = LocalHashEmbedder(dim=64).embed("net revenue")
+    assert vec.shape == (64,)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +236,7 @@ _TEXTS = ["NET_REVENUE HAS_VALUE_IN_2015 5829 million USD",
 def test_local_embedder_bitwise_equals_fallback(batch):
     embedder = LocalHashEmbedder(dim=64)
     for text in batch + batch:  # the second pass is served from the token memo
-        assert embedder.embed(text).values.tobytes() == \
-            fallback_embed(text, dim=64).values.tobytes()
+        assert embedder.embed(text).tobytes() == fresh_embed(text, dim=64).tobytes()
 
 
 def test_local_embedder_shared_by_threads_stays_exact():
@@ -246,7 +251,7 @@ def test_local_embedder_shared_by_threads_stays_exact():
     def work(worker):
         start.wait(timeout=10)
         order = _TEXTS if worker % 2 else _TEXTS[::-1]
-        results[worker] = [(t, embedder.embed(t).values) for t in order * 50]
+        results[worker] = [(t, embedder.embed(t)) for t in order * 50]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -262,10 +267,9 @@ def test_local_embedder_shared_by_threads_stays_exact():
     assert sorted(results) == list(range(n_threads))
     for worker in results:
         for text, values in results[worker]:
-            assert values.tobytes() == fallback_embed(text, dim=256).values.tobytes()
+            assert values.tobytes() == fresh_embed(text).tobytes()
     for text in _TEXTS:  # and after the threads have filled the memo
-        assert embedder.embed(text).values.tobytes() == \
-            fallback_embed(text, dim=256).values.tobytes()
+        assert embedder.embed(text).tobytes() == fresh_embed(text).tobytes()
 
 
 @given(st.lists(texts, min_size=1, max_size=8), st.sampled_from([16, 64]))
@@ -275,7 +279,7 @@ def test_embed_many_rows_equal_embed(batch, dim):
     assert rows.shape == (2 * len(batch) + 1, dim)
     fresh = LocalHashEmbedder(dim=dim)  # an empty memo on the per-text side
     for text, row in zip(batch + [CANCELLING] + batch, rows):
-        assert row.tobytes() == fresh.embed(text).values.tobytes()
+        assert row.tobytes() == fresh.embed(text).tobytes()
 
 
 def test_embed_many_rejects_token_free_text():

@@ -47,6 +47,7 @@ def scripted_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}", handler
     server.shutdown()
+    server.server_close()
 
 
 def _cfg(endpoint, **kw):
@@ -60,7 +61,7 @@ def test_wire_format_and_passthrough(scripted_server, monkeypatch):
     url, handler = scripted_server
     monkeypatch.setenv("FINKGQA_API_KEY", "sekrit")
     handler.script.append((200, chat_response('{"fixed": "json"}')))
-    text = ChatClient(_cfg(url)).complete("hello there").text
+    text = ChatClient(_cfg(url)).complete("hello there")
     assert text == '{"fixed": "json"}'
 
     sent = handler.requests[0]
@@ -76,8 +77,7 @@ def test_retries_survive_two_500s(scripted_server):
     url, handler = scripted_server
     handler.script.extend([(500, {}), (500, {}), (200, chat_response("finally"))])
     client = ChatClient(_cfg(url))
-    result = client.complete("retry me")
-    assert result.text == "finally"
+    assert client.complete("retry me") == "finally"
     assert len(handler.requests) == 3
 
 
@@ -102,11 +102,9 @@ def test_cache_hit_makes_zero_network_calls(scripted_server, tmp_path):
     cache = ResponseCache(tmp_path)
     client = ChatClient(_cfg(url), cache=cache)
 
-    first = client.complete("same prompt")
-    assert not first.from_cache
-    second = client.complete("same prompt")
-    assert second.from_cache
-    assert second.text == "cached answer"
+    assert client.complete("same prompt") == "cached answer"
+    assert len(handler.requests) == 1
+    assert client.complete("same prompt") == "cached answer"
     assert len(handler.requests) == 1
 
     # one cache file holding request, response, timestamp
@@ -149,7 +147,7 @@ def test_mock_transport_reasoning_answers(answer_key):
     transport = MockChatTransport(answer_key=answer_key)
     client = ChatClient(_cfg("http://mock.invalid"), transport=transport)
     question = "what was the net revenue of alpha corp in 2021?"
-    text = client.complete(f"Facts:\n(none)\n\nQuestion: {question}\n\nANSWER: <value>").text
+    text = client.complete(f"Facts:\n(none)\n\nQuestion: {question}\n\nANSWER: <value>")
     assert text.endswith("ANSWER: 120")
 
 
@@ -157,8 +155,8 @@ def test_mock_transport_scramble_changes_answers(answer_key):
     straight = MockChatTransport(answer_key=answer_key)
     scrambled = MockChatTransport(answer_key=answer_key, scramble=True)
     prompt = "Question: was the EPS of epsilon labs greater in 2021 than in 2020?\nANSWER: <v>"
-    ok = ChatClient(_cfg("http://mock.invalid"), transport=straight).complete(prompt).text
-    bad = ChatClient(_cfg("http://mock.invalid"), transport=scrambled).complete(prompt).text
+    ok = ChatClient(_cfg("http://mock.invalid"), transport=straight).complete(prompt)
+    bad = ChatClient(_cfg("http://mock.invalid"), transport=scrambled).complete(prompt)
     assert ok.endswith("ANSWER: yes")
     assert bad.endswith("ANSWER: no")
 
@@ -195,7 +193,7 @@ def test_truncated_response_is_not_cached(tmp_path):
     with pytest.raises(LlmTruncated):
         client.complete("long doc")
     assert list(tmp_path.glob("*.json")) == []
-    assert client.complete("long doc").text == "complete"
+    assert client.complete("long doc") == "complete"
     assert len(sent) == 2
 
 
@@ -205,7 +203,7 @@ def test_malformed_body_is_not_cached(tmp_path):
                         transport=transport)
     with pytest.raises(LlmUnavailable):
         client.complete("prompt")
-    assert client.complete("prompt").text == "fine"
+    assert client.complete("prompt") == "fine"
     assert len(sent) == 2
 
 
@@ -214,10 +212,11 @@ def test_cache_key_covers_max_tokens(tmp_path):
     cache = ResponseCache(tmp_path)
     short = ChatClient(_cfg("http://x", max_tokens=10), cache=cache, transport=transport)
     long = ChatClient(_cfg("http://x", max_tokens=1000), cache=cache, transport=transport)
-    assert short.complete("prompt").text == "short"
-    assert long.complete("prompt").text == "long"
+    assert short.complete("prompt") == "short"
+    assert long.complete("prompt") == "long"
     assert [p["max_tokens"] for p in sent] == [10, 1000]
-    assert short.complete("prompt").from_cache
+    assert short.complete("prompt") == "short"
+    assert len(sent) == 2  # the repeat was served from the cache
 
 
 def test_unreadable_cache_entry_is_a_miss(tmp_path, caplog):
@@ -229,8 +228,8 @@ def test_unreadable_cache_entry_is_a_miss(tmp_path, caplog):
     entry.write_text(entry.read_text()[:20], encoding="utf-8")  # truncated file
 
     with caplog.at_level("WARNING", logger="finkgqa.llm_client"):
-        result = client.complete("prompt")
-    assert result.text == "second" and not result.from_cache
+        assert client.complete("prompt") == "second"
     assert len(sent) == 2
     assert "unreadable cache entry" in caplog.text
-    assert client.complete("prompt").from_cache  # rewritten by the fresh call
+    assert client.complete("prompt") == "second"
+    assert len(sent) == 2  # rewritten by the fresh call, so this one hits the cache

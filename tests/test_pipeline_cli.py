@@ -195,14 +195,6 @@ def test_vanilla_and_kg_share_reasoning_surface(tmp_path, corpus_path):
 # Config handling
 
 
-def test_run_full_pipeline_helper(tmp_path, corpus_path):
-    cfg = _config(tmp_path, corpus_path)
-    summaries = pl.run_full_pipeline(cfg, split="test")
-    assert summaries["vanilla"]["accuracy"] == 1.0
-    assert summaries["kg"]["accuracy"] == 1.0
-    assert Path(pl.report_path(cfg)).exists()
-
-
 def test_config_from_file_with_relative_paths(tmp_path, corpus_path):
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps({

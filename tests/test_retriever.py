@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finkgqa.embedding import DimensionMismatch, Embedding, LocalHashEmbedder, fallback_embed
+from finkgqa.embedding import DimensionMismatch, LocalHashEmbedder
 from finkgqa.kg_schema import Period, PeriodKind, UNKNOWN_PERIOD, make_triplet, render_decimal
 from finkgqa.preprocess import QuestionRecord
 from finkgqa.retriever import (
@@ -116,20 +116,20 @@ def test_features_pure():
 
 def _per_pair_row(question, triplet, dim=32):
     """Reference row built pair by pair: q, t, then the six scalars."""
-    q = fallback_embed(question.text, dim)
-    t = fallback_embed(triplet.text(), dim)
+    q = LocalHashEmbedder(dim).embed(question.text)
+    t = LocalHashEmbedder(dim).embed(triplet.text())
     q_year, t_year = question_year(question.text), triplet.period.year
     if q_year is None or t_year is None:
         distance, missing = 10.0, 1.0
     else:
         distance, missing = float(min(abs(q_year - t_year), 10.0)), 0.0
     company = triplet.company and triplet.company.lower() in question.text.lower()
-    scalars = [float(np.clip(np.dot(q.values, t.values), -1.0, 1.0)), distance, missing,
+    scalars = [float(np.clip(np.dot(q, t), -1.0, 1.0)), distance, missing,
                metric_overlap(triplet.metric_type,
                               set(re.findall(r"[a-z0-9]+", question.text.lower()))),
                1.0 if company else 0.0,
                1.0 if "percent" in triplet.unit.lower() else 0.0]
-    return np.concatenate([q.values, t.values, np.asarray(scalars, dtype=np.float64)])
+    return np.concatenate([q, t, np.asarray(scalars, dtype=np.float64)])
 
 
 def test_build_features_rows_match_per_pair_construction():
@@ -145,7 +145,7 @@ def test_build_features_rows_match_per_pair_construction():
 def test_build_features_rejects_mixed_dimensions():
     class Mixed:
         def embed(self, text):
-            return fallback_embed(text, 32)
+            return LocalHashEmbedder(dim=32).embed(text)
 
         def embed_many(self, texts):
             return LocalHashEmbedder(dim=64).embed_many(texts)
@@ -162,7 +162,7 @@ class _FixedVectors:
         self.triplet_rows = np.asarray(triplet_rows, dtype=np.float64)
 
     def embed(self, text):
-        return Embedding(values=self.question_vec, provider_tag="fixed")
+        return self.question_vec
 
     def embed_many(self, texts):
         assert len(texts) == len(self.triplet_rows)
@@ -171,7 +171,7 @@ class _FixedVectors:
 
 def _cos_column(question, triplets, provider):
     X = build_features(question, triplets, provider)
-    return X[:, 2 * provider.embed(question.text).dim + STRUCTURAL_COLUMNS.index("cos_sim")]
+    return X[:, 2 * provider.embed(question.text).shape[0] + STRUCTURAL_COLUMNS.index("cos_sim")]
 
 
 def test_cos_sim_column_hand_computed():
