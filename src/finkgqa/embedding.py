@@ -111,7 +111,12 @@ class RemoteEmbedder(ProviderClient):
         return self._post("/embeddings", payload, self._unit_vector)
 
     def embed_many(self, texts: list[str]) -> np.ndarray:
-        """One row per text, each through `embed` and its cache."""
+        """One row per text, each through `embed` and its cache.
+
+        No texts give a (0, 0) array without a request: the width is the server's.
+        """
+        if not texts:
+            return np.empty((0, 0))
         return np.stack([self.embed(text) for text in texts])
 
     @staticmethod

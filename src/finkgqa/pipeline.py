@@ -322,22 +322,21 @@ def cmd_train_retriever(cfg: PipelineConfig) -> dict:
     for t in triplets:
         by_doc.setdefault(t.source_doc, []).append(t)
 
+    groups = [(doc, by_doc[doc.id]) for doc in docs if by_doc.get(doc.id)]
+    if not groups:
+        raise MissingArtifact("no training pairs; run `extract` on the train split first")
+
     embedder = build_embedder(cfg.embeddings, cfg.cache_dir)
-    blocks, labels, manifest = [], [], []
-    for doc in docs:
-        doc_triplets = by_doc.get(doc.id, [])
-        if not doc_triplets:
-            continue
+    X = retriever.GroupedFeatures([len(doc_triplets) for _, doc_triplets in groups])
+    labels, manifest = [], []
+    for j, (doc, doc_triplets) in enumerate(groups):
         doc_labels = retriever.label_triplets(doc, doc_triplets)
-        blocks.append(retriever.build_features(doc.question, doc_triplets, embedder))
+        X.fill(j, retriever.build_features(doc.question, doc_triplets, embedder))
         labels.extend(doc_labels)
         manifest.extend(json.dumps({"doc_id": doc.id, "triplet_id": t.triplet_id,
                                     "label": label})
                         for t, label in zip(doc_triplets, doc_labels))
-    if not blocks:
-        raise MissingArtifact("no training pairs; run `extract` on the train split first")
 
-    X = np.concatenate(blocks)
     y = np.asarray(labels, dtype=np.float64)
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos

@@ -100,6 +100,50 @@ def build_features(question: QuestionRecord, triplets: list[Triplet],
     return X
 
 
+class GroupedFeatures:
+    """`build_features` rows of many questions, each question's embedding stored once.
+
+    Row i is [Q[doc[i]] | C[i]]: Q holds one question embedding per document,
+    doc maps each row to its document, and C holds the rest of the row (the
+    triplet embedding and STRUCTURAL_COLUMNS). That is 8·(dim+6) bytes per
+    row plus 8·dim per document, against 8·(2·dim+6) per row when dense.
+    Indexing gathers the rows into a reused scratch buffer, so `train` sees
+    the float64 values of the dense matrix; the returned array is
+    overwritten by the next index.
+    """
+
+    def __init__(self, sizes: list[int]):
+        """Room for len(sizes) documents, document j with sizes[j] >= 1 rows."""
+        self.doc = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+        self._start = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+        self.Q = self.C = self._buf = None
+
+    def fill(self, j: int, block: np.ndarray) -> None:
+        """Store document j's `build_features` rows. The first block sets the
+        widths, because an http embedder chooses its own dimension."""
+        if self.Q is None:
+            dim = (block.shape[1] - N_STRUCTURAL) // 2
+            self.Q = np.empty((len(self._start) - 1, dim))
+            self.C = np.empty((len(self.doc), block.shape[1] - dim))
+            self._buf = np.empty((0, block.shape[1]))
+        dim = self.Q.shape[1]
+        self.Q[j] = block[0, :dim]
+        self.C[self._start[j]:self._start[j + 1]] = block[:, dim:]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.doc), self.Q.shape[1] + self.C.shape[1]
+
+    def __getitem__(self, rows: np.ndarray) -> np.ndarray:
+        if len(rows) > len(self._buf):
+            self._buf = np.empty((len(rows), self.shape[1]))
+        out = self._buf[:len(rows)]
+        dim = self.Q.shape[1]
+        out[:, :dim] = self.Q[self.doc[rows]]
+        out[:, dim:] = self.C[rows]
+        return out
+
+
 @dataclass
 class MlpModel:
     """Two-layer perceptron: ReLU hidden layer, sigmoid output."""
@@ -199,13 +243,15 @@ def loss_and_gradients(m: MlpModel, X: np.ndarray, y: np.ndarray,
     return loss, {"W1": dW1, "b1": db1, "W2": dW2, "b2": db2}
 
 
-def train(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> tuple[MlpModel, list[float]]:
+def train(X: np.ndarray | GroupedFeatures, y: np.ndarray,
+          cfg: TrainConfig) -> tuple[MlpModel, list[float]]:
     """Seeded mini-batch training with Adam-style moment estimates.
 
-    Identical (data, config) produces a bit-identical model; the returned
-    history holds the mean per-sample loss of each epoch.
+    X is a float64 (n_pairs, feature_dim) array or a `GroupedFeatures`; only
+    `X.shape` and `X[rows]` are used. Identical (data, config) produces a
+    bit-identical model; the returned history holds the mean per-sample loss
+    of each epoch.
     """
-    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     classes = set(np.unique(y).tolist())
     if not {0.0, 1.0} <= classes:

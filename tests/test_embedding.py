@@ -218,6 +218,20 @@ def test_remote_zero_vector_pins_first_axis():
     assert embedder.embed("hello").tolist() == [1.0, 0.0]
 
 
+def test_embed_many_of_no_texts_is_zero_rows_without_a_request():
+    calls = []
+
+    def transport(url, payload, headers, timeout):
+        calls.append(payload)
+        return 200, {"data": [{"embedding": [3.0, 4.0]}]}
+
+    remote = RemoteEmbedder(_remote_cfg(), transport=transport).embed_many([])
+    assert remote.shape[0] == 0 and remote.dtype == np.float64
+    assert calls == []
+    local = LocalHashEmbedder(dim=48).embed_many([])
+    assert local.shape == (0, 48) and local.dtype == np.float64
+
+
 def test_provider_objects_share_interface():
     vec = LocalHashEmbedder(dim=64).embed("net revenue")
     assert vec.shape == (64,)
