@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, TypeVar
 
-import requests
-
 logger = logging.getLogger(__name__)
 
 Transport = Callable[[str, dict, dict, float], tuple[int, dict]]
@@ -60,7 +58,6 @@ class ResponseCache:
 
     def __init__(self, cache_dir: str | Path | None):
         self.dir = Path(cache_dir) if cache_dir else None
-        self._lock = threading.Lock()
         if self.dir:
             self.dir.mkdir(parents=True, exist_ok=True)
 
@@ -87,13 +84,18 @@ class ResponseCache:
             return
         path = self.dir / f"{key}.json"
         entry = {"request": request, "response": response, "timestamp": time.time()}
-        with self._lock:
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(entry, indent=2), encoding="utf-8")
-            tmp.replace(path)
+        # A temp name per writer: caches in other threads or processes may put
+        # the same key into the same directory at once.
+        tmp = self.dir / f"{key}.{os.getpid()}.{threading.get_ident()}.tmp"
+        tmp.write_text(json.dumps(entry, indent=2), encoding="utf-8")
+        os.replace(tmp, path)
 
 
 def http_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, dict]:
+    # Imported on the first request: the mock and local providers never send
+    # one, and importing `requests` adds megabytes of memory and start-up time.
+    import requests
+
     resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
     try:
         body = resp.json()

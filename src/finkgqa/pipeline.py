@@ -317,19 +317,20 @@ def cmd_train_retriever(cfg: PipelineConfig) -> dict:
     split = "train"
     store = _require(triplets_path(cfg, split), "extract")
     docs = _load_documents(cfg, split)
-    triplets = parse_triplets_file(store.read_text(encoding="utf-8"))
     by_doc: dict[str, list] = {}
-    for t in triplets:
+    for t in parse_triplets_file(store.read_text(encoding="utf-8")):
         by_doc.setdefault(t.source_doc, []).append(t)
 
-    groups = [(doc, by_doc[doc.id]) for doc in docs if by_doc.get(doc.id)]
-    if not groups:
+    docs = [doc for doc in docs if doc.id in by_doc]
+    if not docs:
         raise MissingArtifact("no training pairs; run `extract` on the train split first")
 
     embedder = build_embedder(cfg.embeddings, cfg.cache_dir)
-    X = retriever.GroupedFeatures([len(doc_triplets) for _, doc_triplets in groups])
+    X = retriever.GroupedFeatures([len(by_doc[doc.id]) for doc in docs])
     labels, manifest = [], []
-    for j, (doc, doc_triplets) in enumerate(groups):
+    for j, doc in enumerate(docs):
+        # Popped so that each document's parsed triplets are freed once featurised.
+        doc_triplets = by_doc.pop(doc.id)
         doc_labels = retriever.label_triplets(doc, doc_triplets)
         X.fill(j, retriever.build_features(doc.question, doc_triplets, embedder))
         labels.extend(doc_labels)

@@ -1,9 +1,14 @@
 import http.server
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import finkgqa
 from finkgqa.llm_client import (
     ChatClient,
     LlmConfig,
@@ -233,3 +238,46 @@ def test_unreadable_cache_entry_is_a_miss(tmp_path, caplog):
     assert "unreadable cache entry" in caplog.text
     assert client.complete("prompt") == "second"
     assert len(sent) == 2  # rewritten by the fresh call, so this one hits the cache
+
+
+def test_importing_the_cli_leaves_the_http_client_unloaded():
+    # The mock chat provider and the local embedder send no request, so
+    # `requests` is imported by `http_transport` on the first one instead.
+    env = dict(os.environ)
+    src = str(Path(finkgqa.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, finkgqa.cli; print('requests' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_two_caches_put_one_key_concurrently(tmp_path):
+    """Two caches on one directory (as two processes sharing a cache dir would
+    be) write the same entry at once; every put lands and no temp file is left."""
+    caches = [ResponseCache(tmp_path), ResponseCache(tmp_path)]
+    key = ResponseCache.key_for({"prompt": "shared"})
+    written = [chat_response(f"writer {i}") for i in range(4)]
+    errors = []
+
+    def writer(i):
+        try:
+            for _ in range(200):
+                caches[i % 2].put(key, {"prompt": "shared"}, written[i])
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert caches[0].get(key) in written
+    assert list(tmp_path.glob("*.tmp")) == []

@@ -3,18 +3,21 @@
 `cmd_train_retriever` keeps the training pairs as a `GroupedFeatures`
 (question embeddings, a row -> document index, and the rest of each row).
 These tests hold it to the dense matrix it replaces: the same rows bit for
-bit, the same model file, and a peak well below that matrix's size.
+bit, the same model file, and a peak well below that matrix's size. Each
+document's parsed triplets are freed once its rows are filled.
 """
 
+import gc
 import json
 import random
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from finkgqa import pipeline as pl, retriever
+from finkgqa import kg_schema, pipeline as pl, retriever
 from finkgqa.kg_schema import parse_triplets_file
 
 METRICS = ("net revenue", "operating expenses", "interest expense", "cost of sales",
@@ -135,3 +138,30 @@ def test_train_retriever_peak_is_below_twice_the_dense_matrix(tmp_path):
     dense_bytes = pairs * retriever.feature_dim(cfg.embeddings.dim) * 8
     assert pairs > 1500
     assert peak < 2 * dense_bytes, f"peak {peak / dense_bytes:.2f}x the dense matrix"
+
+
+def _live_triplets() -> int:
+    gc.collect()
+    return sum(isinstance(o, kg_schema.Triplet) for o in gc.get_objects())
+
+
+def test_parsed_triplets_are_freed_before_training(tmp_path, monkeypatch):
+    cfg = _config(tmp_path, _write_corpus(tmp_path / "train.json", n_docs=20), epochs=1)
+    pl.cmd_ingest(cfg)
+    pl.cmd_extract(cfg)
+    store = pl.triplets_path(cfg, "train").read_text(encoding="utf-8")
+    per_doc = Counter(t.source_doc for t in parse_triplets_file(store))
+    assert sum(per_doc.values()) > 10 * max(per_doc.values())
+
+    train = retriever.train
+    live_at_train = []
+
+    def counting_train(*args, **kwargs):
+        live_at_train.append(_live_triplets() - before)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(retriever, "train", counting_train)
+    before = _live_triplets()  # whatever earlier tests left alive
+    pl.cmd_train_retriever(cfg)
+    assert len(live_at_train) == 1
+    assert live_at_train[0] <= max(per_doc.values()), live_at_train
