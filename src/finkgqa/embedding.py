@@ -107,7 +107,7 @@ class RemoteEmbedder(ProviderClient):
     def embed(self, text: str) -> np.ndarray:
         if not text.strip():
             raise EmptyText("empty text")
-        payload = {"model": self.cfg.model_name, "input": text}
+        payload = {"model": self.cfg.model, "input": text}
         return self._post("/embeddings", payload, self._unit_vector)
 
     def embed_many(self, texts: list[str]) -> np.ndarray:

@@ -33,24 +33,39 @@ class LlmTruncated(RuntimeError):
     """The model stopped at the token limit; the caller may re-chunk."""
 
 
-@dataclass(frozen=True)
-class LlmConfig:
-    model_name: str = "llama-3.1-8b-instruct"
+RETRY_BACKOFF_S = 0.5  # first retry's wait; each further retry doubles it
+
+
+@dataclass
+class ProviderConfig:
+    """One provider's settings, mirroring a `providers.<role>` object of the config file."""
+
+    kind: str = "mock"  # mock | http | local | none
+    endpoint: str = ""
+    model: str = ""
+    api_key_env: str = "FINKGQA_API_KEY"
     temperature: float = 0.2
     max_tokens: int = 2048
-    endpoint: str = ""
-    api_key_env: str = "FINKGQA_API_KEY"
     max_retries: int = 3
     timeout: float = 60.0
-    retry_backoff_s: float = 0.5
+    dim: int = 256  # local embedder only
+    answer_key: str = ""  # mock chat only: corpus file with gold answers
+    scramble: bool = False  # mock chat only
 
-    def __post_init__(self):
-        if not 0 <= self.temperature <= 2:
-            raise ValueError(f"temperature {self.temperature} outside [0, 2]")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write `text` to `path` through a temp name per writer, then rename it into place.
+
+    Writers in other threads or processes may write the same path at once:
+    each renames a complete file of its own, so readers never see a partial one.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+    except FileNotFoundError:  # only the first write into a new directory pays for mkdir
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
 
 
 class ResponseCache:
@@ -82,13 +97,8 @@ class ResponseCache:
     def put(self, key: str, request: dict, response: dict) -> None:
         if not self.dir:
             return
-        path = self.dir / f"{key}.json"
         entry = {"request": request, "response": response, "timestamp": time.time()}
-        # A temp name per writer: caches in other threads or processes may put
-        # the same key into the same directory at once.
-        tmp = self.dir / f"{key}.{os.getpid()}.{threading.get_ident()}.tmp"
-        tmp.write_text(json.dumps(entry, indent=2), encoding="utf-8")
-        os.replace(tmp, path)
+        write_atomic(self.dir / f"{key}.json", json.dumps(entry, indent=2))
 
 
 def http_transport(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, dict]:
@@ -112,8 +122,14 @@ class ProviderClient:
     cached, so a truncated or malformed one is fetched again on the next call.
     """
 
-    def __init__(self, cfg: LlmConfig, cache: ResponseCache | None = None,
+    def __init__(self, cfg: ProviderConfig, cache: ResponseCache | None = None,
                  transport: Transport | None = None):
+        if not 0 <= cfg.temperature <= 2:
+            raise ValueError(f"temperature {cfg.temperature} outside [0, 2]")
+        if cfg.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
+        if cfg.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
         self.cfg = cfg
         self.cache = cache or ResponseCache(None)
         self.transport = transport or http_transport
@@ -141,7 +157,7 @@ class ProviderClient:
         last_error: str | None = None
         for attempt in range(attempts):
             if attempt:
-                time.sleep(self.cfg.retry_backoff_s * 2 ** (attempt - 1))
+                time.sleep(RETRY_BACKOFF_S * 2 ** (attempt - 1))
             try:
                 status, body = self.transport(url, payload, headers, self.cfg.timeout)
             except Exception as exc:
@@ -167,7 +183,7 @@ class ChatClient(ProviderClient):
         """The reply to one user message; an identical request payload hits the cache."""
         temp = self.cfg.temperature if temperature is None else temperature
         payload = {
-            "model": self.cfg.model_name,
+            "model": self.cfg.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": temp,
             "max_tokens": self.cfg.max_tokens,

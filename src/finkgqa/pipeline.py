@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,8 @@ from .embedding import LocalHashEmbedder, RemoteEmbedder
 from .evaluator import EvalRecord
 from .extraction import DocumentExtractor
 from .kg_schema import parse_triplets_file, serialize_triplets
-from .llm_client import ChatClient, LlmConfig, MockChatTransport, ResponseCache
+from .llm_client import (ChatClient, MockChatTransport, ProviderConfig, ResponseCache,
+                         write_atomic)
 from .preprocess import FinDocument, assemble_text, linearize_table, load_split
 
 logger = logging.getLogger(__name__)
@@ -32,21 +32,6 @@ SPLITS = ("train", "dev", "test")
 
 class MissingArtifact(FileNotFoundError):
     """An upstream artifact is absent; the message names the producing command."""
-
-
-@dataclass
-class ProviderConfig:
-    kind: str = "mock"  # mock | http | local | none
-    endpoint: str = ""
-    model: str = ""
-    api_key_env: str = "FINKGQA_API_KEY"
-    temperature: float = 0.2
-    max_tokens: int = 2048
-    max_retries: int = 3
-    timeout: float = 60.0
-    dim: int = 256
-    answer_key: str = ""  # mock chat only: corpus file with gold answers
-    scramble: bool = False
 
 
 @dataclass
@@ -64,8 +49,6 @@ class PipelineConfig:
     max_inflight: int = 4
     prompt_asset: str = ""
     retriever_k: int = 10
-    retriever_mode: str = "topk"  # topk | threshold
-    retriever_threshold: float = 0.5
     hidden_size: int = 64
     learning_rate: float = 1e-3
     epochs: int = 20
@@ -107,11 +90,9 @@ def _flatten(raw: dict, prefix: str = "") -> dict:
 
 
 def apply_overrides(cfg: PipelineConfig, overrides: dict) -> None:
-    """Apply dotted-path overrides like retriever.k=5 onto the config."""
+    """Apply dotted-path overrides like retriever.k=5 or data.test=path onto the config."""
     aliases = {
         "retriever.k": "retriever_k",
-        "retriever.mode": "retriever_mode",
-        "retriever.threshold": "retriever_threshold",
         "retriever.hidden_size": "hidden_size",
         "retriever.learning_rate": "learning_rate",
         "retriever.epochs": "epochs",
@@ -124,24 +105,30 @@ def apply_overrides(cfg: PipelineConfig, overrides: dict) -> None:
         "report.baseline_label": "baseline_label",
         "report.treatment_label": "treatment_label",
     }
-    for dotted, value in overrides.items():
-        dotted = aliases.get(dotted, dotted)
+    for key, value in overrides.items():
+        section, _, split = key.partition(".")
+        if section == "data" and split in SPLITS:
+            cfg.data[split] = value
+            continue
         target = cfg
-        parts = dotted.split(".")
+        parts = aliases.get(key, key).split(".")
         for part in parts[:-1]:
             if part == "providers":
                 continue
             if not hasattr(target, part):
-                raise KeyError(f"unknown config key: {dotted}")
+                raise KeyError(f"unknown config key: {key}")
             target = getattr(target, part)
         name = parts[-1]
         if not hasattr(target, name):
-            raise KeyError(f"unknown config key: {dotted}")
+            raise KeyError(f"unknown config key: {key}")
         current = getattr(target, name)
         if isinstance(current, bool) and isinstance(value, str):
             value = value.lower() in ("1", "true", "yes", "on")
         elif isinstance(current, (int, float)) and isinstance(value, str):
-            value = type(current)(json.loads(value))
+            try:
+                value = type(current)(json.loads(value))
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"config key {key} needs a number, got {value!r}") from exc
         setattr(target, name, value)
 
 
@@ -160,18 +147,9 @@ def _mock_answer_key(path: str) -> dict[str, str]:
     return key
 
 
-def _llm_config(provider: ProviderConfig, model_name: str) -> LlmConfig:
-    return LlmConfig(model_name=model_name,
-                     temperature=provider.temperature,
-                     max_tokens=provider.max_tokens,
-                     endpoint=provider.endpoint,
-                     api_key_env=provider.api_key_env,
-                     max_retries=provider.max_retries,
-                     timeout=provider.timeout)
-
-
 def build_chat_client(provider: ProviderConfig, cache_dir: str | None) -> ChatClient:
-    cfg = _llm_config(provider, provider.model or "mock-chat")
+    # An empty model is sent as "mock-chat", which every cached request keys on.
+    cfg = replace(provider, model=provider.model or "mock-chat")
     cache = ResponseCache(cache_dir)
     if provider.kind == "mock":
         transport = MockChatTransport(answer_key=_mock_answer_key(provider.answer_key),
@@ -186,20 +164,12 @@ def build_embedder(provider: ProviderConfig, cache_dir: str | None):
     if provider.kind == "local":
         return LocalHashEmbedder(dim=provider.dim)
     if provider.kind == "http":
-        return RemoteEmbedder(_llm_config(provider, provider.model),
-                              cache=ResponseCache(cache_dir))
+        return RemoteEmbedder(provider, cache=ResponseCache(cache_dir))
     raise ValueError(f"unsupported embeddings provider kind: {provider.kind}")
 
 
 # ---------------------------------------------------------------------------
 # Artifact paths and IO
-
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
 
 def documents_path(cfg: PipelineConfig, split: str) -> Path:
     return Path(cfg.output_dir) / f"documents_{split}.jsonl"
@@ -269,7 +239,7 @@ def cmd_ingest(cfg: PipelineConfig) -> dict[str, int]:
                 "text": assemble_text(doc),
                 "n_table_sentences": len(linearize_table(doc.table)),
             }))
-        _write_atomic(documents_path(cfg, split), "".join(l + "\n" for l in lines))
+        write_atomic(documents_path(cfg, split), "".join(l + "\n" for l in lines))
         counts[split] = len(docs)
         logger.info("ingested %d documents for split %s", len(docs), split)
     return counts
@@ -300,13 +270,13 @@ def cmd_extract(cfg: PipelineConfig) -> dict[str, int]:
                         "fragment": fragment,
                         "violations": list(violations),
                     }))
-            _write_atomic(rejected_path(cfg, split),
-                          "".join(l + "\n" for l in audit_lines))
+            write_atomic(rejected_path(cfg, split),
+                         "".join(l + "\n" for l in audit_lines))
             if audit_lines:
                 logger.info("split %s: %d fragments rejected by validation",
                             split, len(audit_lines))
         triplets = [t for group in per_doc for t in group]
-        _write_atomic(triplets_path(cfg, split), serialize_triplets(triplets))
+        write_atomic(triplets_path(cfg, split), serialize_triplets(triplets))
         counts[split] = len(triplets)
         logger.info("extracted %d triplets for split %s", len(triplets), split)
     return counts
@@ -351,7 +321,7 @@ def cmd_train_retriever(cfg: PipelineConfig) -> dict:
     )
     model, history = retriever.train(X, y, train_cfg)
     retriever.save_model(model, model_path(cfg))
-    _write_atomic(manifest_path(cfg), "".join(l + "\n" for l in manifest))
+    write_atomic(manifest_path(cfg), "".join(l + "\n" for l in manifest))
     logger.info("trained retriever on %d pairs (%d positive); final loss %.4f",
                 len(y), n_pos, history[-1])
     return {"pairs": len(y), "positives": n_pos, "final_loss": history[-1]}
@@ -376,21 +346,15 @@ def cmd_answer(cfg: PipelineConfig, split: str, mode: str) -> int:
 
     def answer_one(doc: FinDocument) -> str:
         if mode == "vanilla":
-            doc_text = assemble_text(doc)
-            prompt = reasoner.build_text_prompt(doc.question, doc_text)
-            answer = reasoner.answer_from_text(doc.question, doc_text, client)
+            prompt = reasoner.build_text_prompt(doc.question, assemble_text(doc))
+            answer = reasoner.answer_from_text(prompt, client)
             retrieved: list[str] = []
         else:
-            candidates = by_doc.get(doc.id, [])
-            if cfg.retriever_mode == "threshold":
-                picked = retriever.filter_threshold(doc.question, candidates, model,
-                                                    embedder, cfg.retriever_threshold)
-            else:
-                picked = retriever.filter_topk(doc.question, candidates, model,
-                                               embedder, cfg.retriever_k)
+            picked = retriever.filter_topk(doc.question, by_doc.get(doc.id, []), model,
+                                           embedder, cfg.retriever_k)
             facts = [t for t, _ in picked]
             prompt = reasoner.build_reasoning_prompt(doc.question, facts)
-            answer = reasoner.answer_question(doc.question, facts, client)
+            answer = reasoner.answer_question(prompt, client)
             retrieved = [t.triplet_id for t in facts]
         return json.dumps({
             "doc_id": doc.id,
@@ -405,7 +369,7 @@ def cmd_answer(cfg: PipelineConfig, split: str, mode: str) -> int:
     # parallel per question, but written in document order for determinism
     with ThreadPoolExecutor(max_workers=max(cfg.max_inflight, 1)) as pool:
         lines = list(pool.map(answer_one, docs))
-    _write_atomic(predictions_path(cfg, split, mode), "".join(l + "\n" for l in lines))
+    write_atomic(predictions_path(cfg, split, mode), "".join(l + "\n" for l in lines))
     logger.info("answered %d questions (%s, %s mode)", len(lines), split, mode)
     return len(lines)
 
@@ -449,7 +413,7 @@ def cmd_evaluate(cfg: PipelineConfig, split: str, mode: str) -> dict:
     if cfg.judge.kind in ("http", "mock"):
         judge_client = build_chat_client(cfg.judge, cfg.cache_dir)
     accuracy, judged = evaluator.evaluate_split(records, judge_client=judge_client)
-    _write_atomic(verdicts_path(cfg, split, mode), evaluator.verdicts_jsonl(judged))
+    write_atomic(verdicts_path(cfg, split, mode), evaluator.verdicts_jsonl(judged))
     summary = {
         "split": split,
         "mode": mode,
@@ -459,8 +423,8 @@ def cmd_evaluate(cfg: PipelineConfig, split: str, mode: str) -> dict:
         "accuracy": accuracy,
         "accuracy_pct": 100.0 * accuracy,
     }
-    _write_atomic(eval_summary_path(cfg, split, mode),
-                  json.dumps(summary, indent=2) + "\n")
+    write_atomic(eval_summary_path(cfg, split, mode),
+                 json.dumps(summary, indent=2) + "\n")
     logger.info("evaluated %s/%s: accuracy %.4f", split, mode, accuracy)
     return summary
 
@@ -484,5 +448,5 @@ def cmd_report(cfg: PipelineConfig, baseline: str | float, treatment: str | floa
     base = _accuracy_pct(baseline, cfg)
     treat = _accuracy_pct(treatment, cfg)
     table = evaluator.format_report(base, treat, cfg.baseline_label, cfg.treatment_label)
-    _write_atomic(report_path(cfg), table)
+    write_atomic(report_path(cfg), table)
     return table

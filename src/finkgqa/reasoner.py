@@ -5,10 +5,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .kg_schema import NormalizedValue, NotNumeric, parse_numeric
+from .kg_schema import NormalizedValue, NotNumeric, Triplet, parse_numeric
 from .llm_client import ChatClient
 from .preprocess import QuestionRecord
-from .kg_schema import Triplet
 
 
 @dataclass(frozen=True)
@@ -30,10 +29,8 @@ def _fact_line(idx: int, t: Triplet) -> str:
     return f"{idx}. {t.subject} {t.relation} {t.object} ({period})"
 
 
-def build_reasoning_prompt(question: QuestionRecord | str,
-                           triplets: list[Triplet]) -> str:
+def build_reasoning_prompt(question: QuestionRecord, triplets: list[Triplet]) -> str:
     """Numbered fact list, then the question, then the answer-line instruction."""
-    q_text = question.text if isinstance(question, QuestionRecord) else question
     if triplets:
         facts = "\n".join(_fact_line(i + 1, t) for i, t in enumerate(triplets))
     else:
@@ -41,18 +38,17 @@ def build_reasoning_prompt(question: QuestionRecord | str,
     return (
         "Answer the question using the numbered financial facts below.\n\n"
         f"Facts:\n{facts}\n\n"
-        f"Question: {q_text}\n\n"
+        f"Question: {question.text}\n\n"
         f"{_INSTRUCTION}\n"
     )
 
 
-def build_text_prompt(question: QuestionRecord | str, doc_text: str) -> str:
+def build_text_prompt(question: QuestionRecord, doc_text: str) -> str:
     """Baseline prompt: the raw document text instead of filtered facts."""
-    q_text = question.text if isinstance(question, QuestionRecord) else question
     return (
         "Answer the question using the document below.\n\n"
         f"Document:\n{doc_text}\n\n"
-        f"Question: {q_text}\n\n"
+        f"Question: {question.text}\n\n"
         f"{_INSTRUCTION}\n"
     )
 
@@ -84,13 +80,11 @@ def parse_answer(raw: str) -> Answer:
                   fallback_used=fallback)
 
 
-def answer_question(question: QuestionRecord | str, triplets: list[Triplet],
-                    client: ChatClient) -> Answer:
-    """Ask the model to answer from the filtered facts."""
-    return parse_answer(client.complete(build_reasoning_prompt(question, triplets)))
+def answer_question(prompt: str, client: ChatClient) -> Answer:
+    """Ask the model to answer from the filtered facts of a `build_reasoning_prompt` prompt."""
+    return parse_answer(client.complete(prompt))
 
 
-def answer_from_text(question: QuestionRecord | str, doc_text: str,
-                     client: ChatClient) -> Answer:
-    """Baseline route: ask the model to answer from the raw document text."""
-    return parse_answer(client.complete(build_text_prompt(question, doc_text)))
+def answer_from_text(prompt: str, client: ChatClient) -> Answer:
+    """Baseline route: ask the model to answer from a `build_text_prompt` prompt."""
+    return parse_answer(client.complete(prompt))

@@ -19,6 +19,7 @@ import numpy as np
 
 from .embedding import DimensionMismatch
 from .kg_schema import Triplet
+from .llm_client import write_atomic
 from .preprocess import FinDocument, QuestionRecord
 
 TEMPORAL_CAP = 10.0
@@ -343,26 +344,14 @@ def score(question: QuestionRecord, triplets: list[Triplet], model: MlpModel,
     return forward_batch(model, build_features(question, triplets, provider))
 
 
-def _ranked(pairs) -> list[tuple[Triplet, float]]:
-    """Score descending; ties break on ascending triplet id."""
-    return sorted(((t, float(s)) for t, s in pairs),
-                  key=lambda pair: (-pair[1], pair[0].triplet_id))
-
-
 def filter_topk(question: QuestionRecord, triplets: list[Triplet], model: MlpModel,
                 provider, k: int) -> list[tuple[Triplet, float]]:
     """The k best-scoring triplets, descending; ties break on ascending id."""
     if k <= 0:
         return []
-    return _ranked(zip(triplets, score(question, triplets, model, provider)))[:k]
-
-
-def filter_threshold(question: QuestionRecord, triplets: list[Triplet],
-                     model: MlpModel, provider,
-                     threshold: float = 0.5) -> list[tuple[Triplet, float]]:
-    """Alternative selection mode: keep everything scoring at or above threshold."""
     scores = score(question, triplets, model, provider)
-    return _ranked((t, s) for t, s in zip(triplets, scores) if s >= threshold)
+    return sorted(((t, float(s)) for t, s in zip(triplets, scores)),
+                  key=lambda pair: (-pair[1], pair[0].triplet_id))[:k]
 
 
 def save_model(model: MlpModel, path: str | Path) -> None:
@@ -375,7 +364,7 @@ def save_model(model: MlpModel, path: str | Path) -> None:
         "W2": model.W2.tolist(),
         "b2": model.b2,
     }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    write_atomic(Path(path), json.dumps(doc))
 
 
 def load_model(path: str | Path) -> MlpModel:

@@ -1,9 +1,11 @@
 import json
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from finkgqa.llm_client import ChatClient, LlmConfig, MockChatTransport
+from finkgqa.llm_client import ChatClient, MockChatTransport, ProviderConfig
 from finkgqa.preprocess import load_split
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -31,6 +33,34 @@ def answer_key() -> dict:
 @pytest.fixture()
 def mock_client(answer_key):
     transport = MockChatTransport(answer_key=answer_key)
-    cfg = LlmConfig(model_name="mock-chat", endpoint="http://mock.invalid",
-                    retry_backoff_s=0.0)
+    cfg = ProviderConfig(model="mock-chat", endpoint="http://mock.invalid")
     return ChatClient(cfg, transport=transport)
+
+
+@pytest.fixture()
+def race():
+    """Runs `target(i)` for i in range(n) in n threads at once, switching
+    threads as often as the interpreter allows; returns what they raised."""
+    def run(target, n=4):
+        errors = []
+
+        def guarded(i):
+            try:
+                target(i)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=guarded, args=(i,)) for i in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        return errors
+
+    return run

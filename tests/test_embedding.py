@@ -12,7 +12,7 @@ from finkgqa.embedding import (
     RemoteEmbedder,
 )
 from finkgqa.kg_schema import make_triplet
-from finkgqa.llm_client import LlmConfig, LlmUnavailable, ResponseCache
+from finkgqa.llm_client import LlmUnavailable, ProviderConfig, ResponseCache
 from finkgqa.preprocess import QuestionRecord
 from finkgqa.retriever import build_features
 
@@ -143,8 +143,7 @@ def test_fallback_norm_property(s):
 
 
 def _remote_cfg(**kw):
-    return LlmConfig(**{"endpoint": "http://e", "model_name": "m",
-                        "retry_backoff_s": 0.0, **kw})
+    return ProviderConfig(**{"endpoint": "http://e", "model": "m", **kw})
 
 
 def test_remote_embedder_normalizes_and_caches(tmp_path):
@@ -164,13 +163,17 @@ def test_remote_embedder_normalizes_and_caches(tmp_path):
     assert calls == [("http://e/embeddings", {"model": "m", "input": "hello"})]
 
 
-def test_remote_embedder_unavailable():
+def test_remote_embedder_unavailable(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+
     def transport(url, payload, headers, timeout):
         return 500, {}
 
     embedder = RemoteEmbedder(_remote_cfg(max_retries=1), transport=transport)
     with pytest.raises(LlmUnavailable):
         embedder.embed("hello")
+    assert sleeps == [0.5]
 
 
 @pytest.mark.parametrize("malformed", [
@@ -204,10 +207,9 @@ def test_remote_embedder_backs_off_between_retries(monkeypatch):
     def transport(url, payload, headers, timeout):
         return next(statuses), {"data": [{"embedding": [1.0, 0.0]}]}
 
-    embedder = RemoteEmbedder(_remote_cfg(max_retries=3, retry_backoff_s=0.25),
-                              transport=transport)
+    embedder = RemoteEmbedder(_remote_cfg(max_retries=3), transport=transport)
     assert np.array_equal(embedder.embed("hello"), [1.0, 0.0])
-    assert sleeps == [0.25, 0.5, 1.0]
+    assert sleeps == [0.5, 1.0, 2.0]
 
 
 def test_remote_zero_vector_pins_first_axis():

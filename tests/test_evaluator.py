@@ -21,7 +21,7 @@ from finkgqa.evaluator import (
     parse_program,
     verdicts_jsonl,
 )
-from finkgqa.llm_client import ChatClient, LlmConfig, chat_response
+from finkgqa.llm_client import ChatClient, ProviderConfig, chat_response
 from finkgqa.preprocess import Table
 from finkgqa.reasoner import Answer
 
@@ -207,8 +207,8 @@ def _judge_client(reply: str):
         captured.update(payload)
         return 200, chat_response(reply)
 
-    client = ChatClient(LlmConfig(model_name="judge", endpoint="http://j",
-                                  retry_backoff_s=0.0), transport=transport)
+    client = ChatClient(ProviderConfig(model="judge", endpoint="http://j"),
+                        transport=transport)
     return client, captured
 
 

@@ -15,7 +15,7 @@ from finkgqa.extraction import (
     parse_extraction_response,
 )
 from finkgqa.kg_schema import validate_triplet
-from finkgqa.llm_client import ChatClient, LlmConfig, MockChatTransport
+from finkgqa.llm_client import ChatClient, MockChatTransport, ProviderConfig
 from finkgqa.preprocess import FinDocument, Table
 
 ENTERGY_ELEMENT = {
@@ -271,8 +271,8 @@ def test_chunking_single_chunk_when_small():
 
 def test_extractor_deduplicates_across_chunks(answer_key, corpus_docs):
     transport = MockChatTransport(answer_key=answer_key)
-    client = ChatClient(LlmConfig(model_name="m", endpoint="http://mock.invalid",
-                                  retry_backoff_s=0.0), transport=transport)
+    client = ChatClient(ProviderConfig(model="m", endpoint="http://mock.invalid"),
+                        transport=transport)
     doc = corpus_docs[0]
     wide = DocumentExtractor(client).extract(doc)
     narrow = DocumentExtractor(client, chunk_chars=80, chunk_overlap=1).extract(doc)
@@ -293,8 +293,8 @@ def test_truncated_chunks_are_split_and_retried(corpus_docs):
             return 200, chat_response("...", finish_reason="length")
         return 200, chat_response("[]")
 
-    client = ChatClient(LlmConfig(model_name="m", endpoint="http://mock.invalid",
-                                  retry_backoff_s=0.0), transport=transport)
+    client = ChatClient(ProviderConfig(model="m", endpoint="http://mock.invalid"),
+                        transport=transport)
     doc = corpus_docs[0]
     result = DocumentExtractor(client, chunk_chars=500).extract(doc)
     assert big_prompts, "the oversized chunk should have been attempted"

@@ -11,10 +11,10 @@ import pytest
 import finkgqa
 from finkgqa.llm_client import (
     ChatClient,
-    LlmConfig,
     LlmTruncated,
     LlmUnavailable,
     MockChatTransport,
+    ProviderConfig,
     ResponseCache,
     chat_response,
 )
@@ -56,10 +56,9 @@ def scripted_server():
 
 
 def _cfg(endpoint, **kw):
-    defaults = dict(model_name="test-model", endpoint=endpoint, max_retries=3,
-                    timeout=5.0, retry_backoff_s=0.0)
+    defaults = dict(model="test-model", endpoint=endpoint, max_retries=3, timeout=5.0)
     defaults.update(kw)
-    return LlmConfig(**defaults)
+    return ProviderConfig(**defaults)
 
 
 def test_wire_format_and_passthrough(scripted_server, monkeypatch):
@@ -78,20 +77,26 @@ def test_wire_format_and_passthrough(scripted_server, monkeypatch):
     assert sent["payload"]["max_tokens"] == 2048
 
 
-def test_retries_survive_two_500s(scripted_server):
+def test_retries_survive_two_500s(scripted_server, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
     url, handler = scripted_server
     handler.script.extend([(500, {}), (500, {}), (200, chat_response("finally"))])
     client = ChatClient(_cfg(url))
     assert client.complete("retry me") == "finally"
     assert len(handler.requests) == 3
+    assert sleeps == [0.5, 1.0]
 
 
-def test_unavailable_after_retry_budget(scripted_server):
+def test_unavailable_after_retry_budget(scripted_server, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
     url, handler = scripted_server
     handler.script.extend([(500, {})] * 4)
     with pytest.raises(LlmUnavailable):
         ChatClient(_cfg(url, max_retries=2)).complete("never works")
     assert len(handler.requests) == 3  # initial try + 2 retries
+    assert sleeps == [0.5, 1.0]
 
 
 def test_truncated_response_raises(scripted_server):
@@ -136,12 +141,10 @@ def test_cache_key_includes_model_and_temperature():
 
 
 def test_config_invariants():
-    with pytest.raises(ValueError):
-        LlmConfig(temperature=3.0)
-    with pytest.raises(ValueError):
-        LlmConfig(max_tokens=0)
-    with pytest.raises(ValueError):
-        LlmConfig(max_retries=-1)
+    for bad in ({"temperature": 3.0}, {"temperature": -0.1}, {"max_tokens": 0},
+                {"max_retries": -1}):
+        with pytest.raises(ValueError):
+            ChatClient(_cfg("http://x", **bad))
 
 
 # ---------------------------------------------------------------------------
@@ -252,32 +255,17 @@ def test_importing_the_cli_leaves_the_http_client_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_two_caches_put_one_key_concurrently(tmp_path):
+def test_two_caches_put_one_key_concurrently(tmp_path, race):
     """Two caches on one directory (as two processes sharing a cache dir would
     be) write the same entry at once; every put lands and no temp file is left."""
     caches = [ResponseCache(tmp_path), ResponseCache(tmp_path)]
     key = ResponseCache.key_for({"prompt": "shared"})
     written = [chat_response(f"writer {i}") for i in range(4)]
-    errors = []
 
     def writer(i):
-        try:
-            for _ in range(200):
-                caches[i % 2].put(key, {"prompt": "shared"}, written[i])
-        except Exception as exc:
-            errors.append(exc)
+        for _ in range(200):
+            caches[i % 2].put(key, {"prompt": "shared"}, written[i])
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=writer, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
+    assert race(writer) == []
     assert caches[0].get(key) in written
     assert list(tmp_path.glob("*.tmp")) == []

@@ -223,8 +223,44 @@ def test_config_from_file_with_relative_paths(tmp_path, corpus_path):
 
 def test_overrides_reject_unknown_keys():
     cfg = pl.PipelineConfig()
-    with pytest.raises(KeyError):
-        pl.apply_overrides(cfg, {"no.such.key": 1})
+    for key in ("no.such.key", "retriever.mode", "retriever.threshold", "data.holdout"):
+        with pytest.raises(KeyError, match=key):
+            pl.apply_overrides(cfg, {key: "1"})
+    for key in ("retriever.k", "providers.chat.temperature"):
+        with pytest.raises(ValueError, match=key):
+            pl.apply_overrides(cfg, {key: "abc"})
+
+
+def test_out_of_range_provider_setting_fails_when_the_client_is_built(tmp_path, corpus_path):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({
+        "data": {"test": str(corpus_path)},
+        "output_dir": "out",
+        "providers": {"chat": {"kind": "mock", "temperature": 3.0}},
+    }))
+    cfg = pl.PipelineConfig.from_file(config_file)
+    with pytest.raises(ValueError, match="temperature"):
+        pl.cmd_answer(cfg, "test", "vanilla")
+    assert not pl.predictions_path(cfg, "test", "vanilla").exists()
+    with pytest.raises(ValueError, match="max_retries"):
+        cli.main(["answer", "--config", str(config_file), "--mode", "vanilla",
+                  "--set", "providers.chat.temperature=0.5",
+                  "--set", "providers.chat.max_retries=-1"])
+
+
+def test_artifact_writers_sharing_a_path_do_not_collide(tmp_path, race):
+    """Four threads rewrite one artifact at once: no writer fails, the file
+    holds one writer's whole text and no temp file is left."""
+    path = pl.documents_path(pl.PipelineConfig(output_dir=str(tmp_path / "out")), "test")
+    texts = [f"writer {i}\n" * 50 for i in range(4)]
+
+    def writer(i):
+        for _ in range(200):
+            pl.write_atomic(path, texts[i])
+
+    assert race(writer) == []
+    assert path.read_text(encoding="utf-8") in texts
+    assert list(path.parent.glob("*.tmp")) == []
 
 
 def test_table_backend_runs_without_chat_provider(tmp_path, corpus_path):
@@ -274,6 +310,10 @@ def test_cli_set_overrides(tmp_path, corpus_path, capsys):
                      "--set", "extraction.backend=table"]) == 0
     out = capsys.readouterr().out
     assert '"triplets"' in out
+    one_doc = tmp_path / "one_doc.json"
+    one_doc.write_text(json.dumps(json.loads(corpus_path.read_text())[:1]))
+    assert cli.main(["ingest", "--config", config, "--set", f"data.test={one_doc}"]) == 0
+    assert json.loads(capsys.readouterr().out)["ingested"]["test"] == 1
 
 
 def test_cli_report_accepts_summary_files(tmp_path, corpus_path, capsys):

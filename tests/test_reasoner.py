@@ -3,7 +3,7 @@ from decimal import Decimal
 from hypothesis import given, strategies as st
 
 from finkgqa.kg_schema import Period, PeriodKind, make_triplet
-from finkgqa.llm_client import ChatClient, LlmConfig, chat_response
+from finkgqa.llm_client import ChatClient, ProviderConfig, chat_response
 from finkgqa.preprocess import QuestionRecord
 from finkgqa.reasoner import (
     answer_question,
@@ -57,12 +57,12 @@ def _client_replying(text: str) -> ChatClient:
     def transport(url, payload, headers, timeout):
         return 200, chat_response(text)
 
-    return ChatClient(LlmConfig(model_name="m", endpoint="http://x",
-                                retry_backoff_s=0.0), transport=transport)
+    return ChatClient(ProviderConfig(model="m", endpoint="http://x"), transport=transport)
 
 
 def test_numeric_answer_parsed():
-    ans = answer_question(QUESTION, [entergy()], _client_replying("ANSWER: 58.29"))
+    prompt = build_reasoning_prompt(QUESTION, [entergy()])
+    ans = answer_question(prompt, _client_replying("ANSWER: 58.29"))
     assert ans.kind == "NUMERIC"
     assert ans.parsed_value.magnitude == Decimal("58.29")
     assert not ans.fallback_used

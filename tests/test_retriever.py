@@ -18,7 +18,6 @@ from finkgqa.retriever import (
     bce_loss,
     build_features,
     feature_dim,
-    filter_threshold,
     filter_topk,
     forward_batch,
     init_model,
@@ -658,16 +657,6 @@ def test_topk_subset_and_tie_determinism():
     ids = [t.triplet_id for t, _ in picked]
     assert ids == sorted(ids)  # all scores tie at 0.5; ids ascending
     assert {t.triplet_id for t, _ in picked} <= {t.triplet_id for t in triplets}
-
-
-def test_threshold_mode():
-    question, triplets, model = _scored_fixture(6)
-    kept = filter_threshold(question, triplets, model, EMBEDDER, threshold=0.0)
-    assert len(kept) == 6
-    assert [t.triplet_id for t, _ in kept] == \
-        [t.triplet_id for t, _ in filter_topk(question, triplets, model, EMBEDDER, 6)]
-    kept = filter_threshold(question, triplets, model, EMBEDDER, threshold=1.1)
-    assert kept == []
 
 
 # ---------------------------------------------------------------------------
