@@ -18,14 +18,13 @@ SCALE_FACTORS = {"thousand": Decimal(10) ** 3, "million": Decimal(10) ** 6,
                  "billion": Decimal(10) ** 9}
 # Two numeric answers match when they differ by at most this share of either one.
 ROUNDING_REL_TOL = 0.01
+# Row labels of the report table.
+BASELINE_LABEL = "Llama (vanilla)"
+TREATMENT_LABEL = "Llama + KG"
 
 
 class EmptyInput(ValueError):
     """evaluate_split needs at least one record."""
-
-
-class ZeroBaseline(ValueError):
-    """Relative improvement is undefined for a zero baseline."""
 
 
 class ProgramError(ValueError):
@@ -345,28 +344,30 @@ def verdicts_jsonl(records: list[EvalRecord]) -> str:
 
 
 def compare_runs(baseline_acc: float, treatment_acc: float) -> dict:
-    """Absolute and relative improvement between two accuracies (percent units)."""
+    """Absolute and relative improvement between two accuracies (percent units).
+
+    The relative improvement is None for a zero baseline, where it is undefined.
+    """
     for value in (baseline_acc, treatment_acc):
         if not 0 <= value <= 100:
             raise ValueError(f"accuracy {value} outside [0, 100]")
-    if baseline_acc == 0:
-        raise ZeroBaseline("relative improvement undefined for baseline 0")
+    delta = treatment_acc - baseline_acc
     return {
-        "absolute_pp": treatment_acc - baseline_acc,
-        "relative_pct": 100.0 * (treatment_acc - baseline_acc) / baseline_acc,
+        "absolute_pp": delta,
+        "relative_pct": 100.0 * delta / baseline_acc if baseline_acc else None,
     }
 
 
-def format_report(baseline_acc: float, treatment_acc: float,
-                  baseline_label: str = "Llama (vanilla)",
-                  treatment_label: str = "Llama + KG") -> str:
-    """Two-row accuracy table with absolute and relative deltas."""
+def format_report(baseline_acc: float, treatment_acc: float) -> str:
+    """Two-row accuracy table with absolute and relative deltas ("-" when undefined)."""
     delta = compare_runs(baseline_acc, treatment_acc)
-    width = max(len(baseline_label), len(treatment_label)) + 2
+    relative = delta["relative_pct"]
+    relative = "-" if relative is None else f"{relative:+.2f}"
+    width = max(len(BASELINE_LABEL), len(TREATMENT_LABEL)) + 2
     lines = [
         f"{'Method':<{width}}{'Acc. (%)':>10}{'Delta (pp)':>12}{'Delta (%)':>12}",
-        f"{baseline_label:<{width}}{baseline_acc:>10.2f}{'-':>12}{'-':>12}",
-        (f"{treatment_label:<{width}}{treatment_acc:>10.2f}"
-         f"{delta['absolute_pp']:>+12.2f}{delta['relative_pct']:>+12.2f}"),
+        f"{BASELINE_LABEL:<{width}}{baseline_acc:>10.2f}{'-':>12}{'-':>12}",
+        (f"{TREATMENT_LABEL:<{width}}{treatment_acc:>10.2f}"
+         f"{delta['absolute_pp']:>+12.2f}{relative:>12}"),
     ]
     return "\n".join(lines) + "\n"

@@ -38,13 +38,6 @@ RELATION_RE = re.compile(r"HAS_VALUE_(IN|AS_OF|AFTER|BEFORE)_.+")
 MIN_YEAR = 1900
 MAX_YEAR = 2100
 
-# Canonical field order of the JSONL triplet store.
-TRIPLET_KEYS = (
-    "subject", "relation", "object", "metric_type", "company",
-    "period", "value", "unit", "source_doc", "triplet_id",
-)
-
-
 class PeriodKind(str, Enum):
     ANNUAL = "ANNUAL"
     QUARTER = "QUARTER"

@@ -44,17 +44,10 @@ class PipelineConfig:
     embeddings: ProviderConfig = field(default_factory=lambda: ProviderConfig(kind="local"))
     judge: ProviderConfig = field(default_factory=lambda: ProviderConfig(kind="none"))
     extraction_backend: str = "llm"  # llm | table
-    chunk_chars: int = extraction.DEFAULT_CHUNK_CHARS
-    chunk_overlap: int = extraction.DEFAULT_CHUNK_OVERLAP
     max_inflight: int = 4
     prompt_asset: str = ""
     retriever_k: int = 10
-    hidden_size: int = 64
-    learning_rate: float = 1e-3
     epochs: int = 20
-    batch_size: int = 64
-    baseline_label: str = "Llama (vanilla)"
-    treatment_label: str = "Llama + KG"
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -82,33 +75,46 @@ def _flatten(raw: dict, prefix: str = "") -> dict:
     flat = {}
     for key, value in raw.items():
         dotted = f"{prefix}{key}"
-        if isinstance(value, dict) and key != "data":
+        if isinstance(value, dict):
             flat.update(_flatten(value, dotted + "."))
         else:
             flat[dotted] = value
     return flat
 
 
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
+               "false": False, "0": False, "no": False, "off": False}
+
+
+def _coerce(key: str, current, value):
+    """`value` for the field that holds `current`: the same type check for a config
+    file's values and for `--set`'s strings, which numeric fields read as JSON."""
+    if isinstance(value, str) and isinstance(current, bool):
+        value = _BOOL_WORDS.get(value.lower(), value)
+    elif isinstance(value, str) and isinstance(current, (int, float)):
+        try:
+            value = json.loads(value)
+        except ValueError:
+            pass
+    # bool is an int subclass, so types are compared exactly; a float field takes an int
+    if type(value) is type(current) or (type(current) is float and type(value) is int):
+        return type(current)(value)
+    raise ValueError(f"config key {key} needs {type(current).__name__}, got {value!r}")
+
+
 def apply_overrides(cfg: PipelineConfig, overrides: dict) -> None:
     """Apply dotted-path overrides like retriever.k=5 or data.test=path onto the config."""
     aliases = {
         "retriever.k": "retriever_k",
-        "retriever.hidden_size": "hidden_size",
-        "retriever.learning_rate": "learning_rate",
         "retriever.epochs": "epochs",
-        "retriever.batch_size": "batch_size",
         "extraction.backend": "extraction_backend",
-        "extraction.chunk_chars": "chunk_chars",
-        "extraction.chunk_overlap": "chunk_overlap",
         "extraction.max_inflight": "max_inflight",
         "extraction.prompt_asset": "prompt_asset",
-        "report.baseline_label": "baseline_label",
-        "report.treatment_label": "treatment_label",
     }
     for key, value in overrides.items():
         section, _, split = key.partition(".")
         if section == "data" and split in SPLITS:
-            cfg.data[split] = value
+            cfg.data[split] = _coerce(key, "", value)
             continue
         target = cfg
         parts = aliases.get(key, key).split(".")
@@ -121,15 +127,7 @@ def apply_overrides(cfg: PipelineConfig, overrides: dict) -> None:
         name = parts[-1]
         if not hasattr(target, name):
             raise KeyError(f"unknown config key: {key}")
-        current = getattr(target, name)
-        if isinstance(current, bool) and isinstance(value, str):
-            value = value.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, (int, float)) and isinstance(value, str):
-            try:
-                value = type(current)(json.loads(value))
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"config key {key} needs a number, got {value!r}") from exc
-        setattr(target, name, value)
+        setattr(target, name, _coerce(key, getattr(target, name), value))
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +253,7 @@ def cmd_extract(cfg: PipelineConfig) -> dict[str, int]:
             per_doc = [extraction.extract_table_triplets(doc) for doc in docs]
         else:
             client = build_chat_client(cfg.chat, cfg.cache_dir)
-            extractor = DocumentExtractor(client, asset_path=cfg.prompt_asset or None,
-                                          chunk_chars=cfg.chunk_chars,
-                                          chunk_overlap=cfg.chunk_overlap)
+            extractor = DocumentExtractor(client, asset_path=cfg.prompt_asset or None)
             with ThreadPoolExecutor(max_workers=max(cfg.max_inflight, 1)) as pool:
                 results = list(pool.map(extractor.extract, docs))
             per_doc = [list(r.triplets) for r in results]
@@ -312,11 +308,8 @@ def cmd_train_retriever(cfg: PipelineConfig) -> dict:
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
     train_cfg = retriever.TrainConfig(
-        learning_rate=cfg.learning_rate,
         epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
         seed=cfg.seed,
-        hidden_size=cfg.hidden_size,
         positive_weight=(n_neg / n_pos) if n_pos and n_neg else 1.0,
     )
     model, history = retriever.train(X, y, train_cfg)
@@ -410,7 +403,7 @@ def cmd_evaluate(cfg: PipelineConfig, split: str, mode: str) -> dict:
     records += missing
 
     judge_client = None
-    if cfg.judge.kind in ("http", "mock"):
+    if cfg.judge.kind != "none":  # an unsupported kind fails in build_chat_client
         judge_client = build_chat_client(cfg.judge, cfg.cache_dir)
     accuracy, judged = evaluator.evaluate_split(records, judge_client=judge_client)
     write_atomic(verdicts_path(cfg, split, mode), evaluator.verdicts_jsonl(judged))
@@ -430,8 +423,6 @@ def cmd_evaluate(cfg: PipelineConfig, split: str, mode: str) -> dict:
 
 
 def _accuracy_pct(value: str | float, cfg: PipelineConfig) -> float:
-    if isinstance(value, (int, float)):
-        return float(value)
     try:
         return float(value)
     except ValueError:
@@ -447,6 +438,6 @@ def cmd_report(cfg: PipelineConfig, baseline: str | float, treatment: str | floa
     """Render the baseline-vs-treatment comparison table."""
     base = _accuracy_pct(baseline, cfg)
     treat = _accuracy_pct(treatment, cfg)
-    table = evaluator.format_report(base, treat, cfg.baseline_label, cfg.treatment_label)
+    table = evaluator.format_report(base, treat)
     write_atomic(report_path(cfg), table)
     return table

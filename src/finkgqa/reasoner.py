@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .kg_schema import NormalizedValue, NotNumeric, Triplet, parse_numeric
+from .kg_schema import NotNumeric, Triplet, parse_numeric
 from .llm_client import ChatClient
 from .preprocess import QuestionRecord
 
@@ -13,7 +13,6 @@ from .preprocess import QuestionRecord
 @dataclass(frozen=True)
 class Answer:
     raw_text: str
-    parsed_value: NormalizedValue | None = None
     kind: str = "TEXT"  # NUMERIC | BOOLEAN | TEXT
     fallback_used: bool = False
 
@@ -73,11 +72,10 @@ def parse_answer(raw: str) -> Answer:
     if text.lower().rstrip(".") in ("yes", "no"):
         return Answer(raw_text=text, kind="BOOLEAN", fallback_used=fallback)
     try:
-        value = parse_numeric(text)
+        parse_numeric(text)
     except NotNumeric:
         return Answer(raw_text=text, kind="TEXT", fallback_used=fallback)
-    return Answer(raw_text=text, parsed_value=value, kind="NUMERIC",
-                  fallback_used=fallback)
+    return Answer(raw_text=text, kind="NUMERIC", fallback_used=fallback)
 
 
 def answer_question(prompt: str, client: ChatClient) -> Answer:

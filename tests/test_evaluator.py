@@ -11,7 +11,6 @@ from finkgqa.evaluator import (
     ROUNDING_REL_TOL,
     ProgramStep,
     RowNotFound,
-    ZeroBaseline,
     compare_runs,
     evaluate_split,
     execute_program,
@@ -314,8 +313,9 @@ def test_compare_runs_identity_and_closed_form():
 
 
 def test_compare_runs_zero_baseline():
-    with pytest.raises(ZeroBaseline):
-        compare_runs(0.0, 10.0)
+    assert compare_runs(0.0, 10.0) == {"absolute_pp": 10.0, "relative_pct": None}
+    treatment = format_report(0.0, 0.0).splitlines()[2]
+    assert treatment.split()[-2:] == ["+0.00", "-"]
 
 
 def test_format_report_shape():

@@ -27,7 +27,7 @@ def _run_all(cfg: pl.PipelineConfig) -> dict:
     pl.cmd_answer(cfg, "test", "kg")
     vanilla = pl.cmd_evaluate(cfg, "test", "vanilla")
     kg = pl.cmd_evaluate(cfg, "test", "kg")
-    pl.cmd_report(cfg, vanilla["accuracy_pct"] or 1.0, kg["accuracy_pct"])
+    pl.cmd_report(cfg, vanilla["accuracy_pct"], kg["accuracy_pct"])
     return {"vanilla": vanilla, "kg": kg}
 
 
@@ -221,14 +221,46 @@ def test_config_from_file_with_relative_paths(tmp_path, corpus_path):
     assert cfg.extraction_backend == "table"
 
 
-def test_overrides_reject_unknown_keys():
+def test_overrides_reject_unknown_keys(tmp_path):
     cfg = pl.PipelineConfig()
-    for key in ("no.such.key", "retriever.mode", "retriever.threshold", "data.holdout"):
+    for key in ("no.such.key", "retriever.mode", "retriever.threshold", "data.holdout",
+                "retriever.hidden_size", "extraction.chunk_chars", "report.baseline_label"):
         with pytest.raises(KeyError, match=key):
             pl.apply_overrides(cfg, {key: "1"})
     for key in ("retriever.k", "providers.chat.temperature"):
         with pytest.raises(ValueError, match=key):
             pl.apply_overrides(cfg, {key: "abc"})
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"data": {"tset": "test.json"}}))
+    with pytest.raises(KeyError, match="data.tset"):
+        pl.PipelineConfig.from_file(config_file)
+
+
+def test_overrides_check_value_types(tmp_path):
+    """A config file's values and --set strings pass the same check, by the
+    type of the field they replace."""
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"retriever": {"k": 2.7}}))
+    with pytest.raises(ValueError, match="retriever.k"):
+        pl.PipelineConfig.from_file(config_file)
+    cfg = pl.PipelineConfig()
+    for key, value in (("retriever.k", "1.5"), ("retriever.k", True), ("seed", "true"),
+                       ("providers.chat.scramble", "ture"), ("providers.chat.scramble", 1),
+                       ("providers.chat.temperature", False), ("output_dir", 5),
+                       ("providers.chat", "mock"), ("data.test", 3)):
+        with pytest.raises(ValueError, match=key):
+            pl.apply_overrides(cfg, {key: value})
+    assert cfg == pl.PipelineConfig()
+
+    pl.apply_overrides(cfg, {"retriever.k": "3", "extraction.max_inflight": 2,
+                             "providers.chat.temperature": "1", "providers.judge.timeout": 5})
+    assert (cfg.retriever_k, cfg.max_inflight) == (3, 2)
+    assert (cfg.chat.temperature, cfg.judge.timeout) == (1.0, 5.0)
+    assert type(cfg.chat.temperature) is type(cfg.judge.timeout) is float
+    for word, expected in (("On", True), ("false", False), ("1", True), ("no", False),
+                           ("yes", True), ("off", False), (True, True)):
+        pl.apply_overrides(cfg, {"providers.chat.scramble": word})
+        assert cfg.chat.scramble is expected
 
 
 def test_out_of_range_provider_setting_fails_when_the_client_is_built(tmp_path, corpus_path):
@@ -300,6 +332,10 @@ def test_cli_six_commands(tmp_path, corpus_path, capsys):
     assert '"accuracy": 1.0' in out
     assert "+6.41" in out
     assert (tmp_path / "out" / "report.txt").exists()
+    # a scrambled run's 0% baseline leaves the relative delta undefined
+    assert cli.main(["report", "--config", config, "--baseline", "0", "--treatment", "0"]) == 0
+    treatment = (tmp_path / "out" / "report.txt").read_text().splitlines()[2]
+    assert treatment.split()[-2:] == ["+0.00", "-"]
 
 
 def test_cli_set_overrides(tmp_path, corpus_path, capsys):
@@ -331,6 +367,16 @@ def test_cli_report_accepts_summary_files(tmp_path, corpus_path, capsys):
                      "--treatment", "eval_test_kg.json"]) == 0
     table = capsys.readouterr().out
     assert "Llama (vanilla)" in table and "Llama + KG" in table
+
+
+def test_unknown_judge_kind_fails_instead_of_judging_by_rules(tmp_path, corpus_path):
+    cfg = _config(tmp_path, corpus_path)
+    pl.cmd_ingest(cfg)
+    pl.cmd_answer(cfg, "test", "vanilla")
+    cfg.judge = pl.ProviderConfig(kind="HTTP")
+    with pytest.raises(ValueError, match="HTTP"):
+        pl.cmd_evaluate(cfg, "test", "vanilla")
+    assert not pl.eval_summary_path(cfg, "test", "vanilla").exists()
 
 
 def test_missing_predictions_count_as_incorrect(tmp_path, corpus_path):

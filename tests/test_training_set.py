@@ -61,7 +61,7 @@ def _config(tmp_path: Path, corpus: Path, epochs: int) -> pl.PipelineConfig:
     return pl.PipelineConfig(
         seed=5, data={"train": str(corpus)}, output_dir=str(tmp_path / "out"),
         cache_dir=str(tmp_path / "cache"), extraction_backend="table",
-        epochs=epochs, batch_size=64, hidden_size=16)
+        epochs=epochs)
 
 
 def _dense_training_set(cfg: pl.PipelineConfig):
@@ -90,12 +90,11 @@ def test_train_retriever_writes_the_dense_matrix_model(tmp_path):
     summary = pl.cmd_train_retriever(cfg)
 
     X, y = _dense_training_set(cfg)
-    assert summary["pairs"] == len(X) and len(X) % cfg.batch_size != 0
     n_pos = int(y.sum())
-    model, _ = retriever.train(X, y, retriever.TrainConfig(
-        learning_rate=cfg.learning_rate, epochs=cfg.epochs, batch_size=cfg.batch_size,
-        seed=cfg.seed, hidden_size=cfg.hidden_size,
-        positive_weight=(len(y) - n_pos) / n_pos))
+    train_cfg = retriever.TrainConfig(epochs=cfg.epochs, seed=cfg.seed,
+                                      positive_weight=(len(y) - n_pos) / n_pos)
+    assert summary["pairs"] == len(X) and len(X) % train_cfg.batch_size != 0
+    model, _ = retriever.train(X, y, train_cfg)
     retriever.save_model(model, tmp_path / "dense_model.json")
     assert pl.model_path(cfg).read_bytes() == (tmp_path / "dense_model.json").read_bytes()
 
