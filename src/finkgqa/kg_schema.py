@@ -14,6 +14,8 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import NamedTuple
 
 
 class NotNumeric(ValueError):
@@ -263,8 +265,13 @@ def parse_numeric(raw: str) -> NormalizedValue:
     return NormalizedValue(magnitude, " ".join(parts))
 
 
+@functools.lru_cache(maxsize=4096)
 def canonical_metric(raw: str) -> str:
-    """Uppercase a metric name, collapsing runs of non-alphanumerics to "_"."""
+    """Uppercase a metric name, collapsing runs of non-alphanumerics to "_".
+
+    Memoised like period_from_string: a store repeats a few column headers per
+    document. A failing name raises again on every call.
+    """
     text = re.sub(r"[^A-Za-z0-9]+", "_", raw).strip("_").upper()
     if not text:
         raise EmptyAfterNormalization(f"no metric content in {raw!r}")
@@ -277,9 +284,12 @@ def triplet_id_for(source_doc: str, subject: str, relation: str, obj: str) -> st
     return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
-@dataclass(frozen=True)
-class Triplet:
-    """One knowledge-graph fact with its typed attributes."""
+class Triplet(NamedTuple):
+    """One knowledge-graph fact with its typed attributes.
+
+    A NamedTuple because one is built for every fact extracted or read back
+    from a store, and a tuple is the cheapest record to build and to hold.
+    """
 
     subject: str
     relation: str
@@ -345,21 +355,6 @@ def validate_triplet(t: Triplet) -> list[str]:
     return violations
 
 
-def triplet_to_dict(t: Triplet) -> dict:
-    return {
-        "subject": t.subject,
-        "relation": t.relation,
-        "object": t.object,
-        "metric_type": t.metric_type,
-        "company": t.company,
-        "period": t.period.canonical(),
-        "value": render_decimal(t.value),
-        "unit": t.unit,
-        "source_doc": t.source_doc,
-        "triplet_id": t.triplet_id,
-    }
-
-
 def triplet_from_dict(d: dict) -> Triplet:
     return Triplet(
         subject=d["subject"],
@@ -375,9 +370,25 @@ def triplet_from_dict(d: dict) -> Triplet:
     )
 
 
+_STORE_LINE = ('{"subject": %s, "relation": %s, "object": %s, "metric_type": %s, '
+               '"company": %s, "period": %s, "value": %s, "unit": %s, '
+               '"source_doc": %s, "triplet_id": %s}\n')
+
+
 def serialize_triplets(triplets: list[Triplet]) -> str:
-    """Newline-delimited JSON, one triplet per line, canonical key order."""
-    return "".join(json.dumps(triplet_to_dict(t)) + "\n" for t in triplets)
+    """Newline-delimited JSON, one triplet per line, canonical key order.
+
+    Each line is assembled from JSON-escaped fields, byte for byte what
+    json.dumps gives for the same dict with default settings.
+    """
+    return "".join([
+        _STORE_LINE % (
+            _json_str(t.subject), _json_str(t.relation), _json_str(t.object),
+            _json_str(t.metric_type),
+            "null" if t.company is None else _json_str(t.company),
+            _json_str(t.period.canonical()), _json_str(render_decimal(t.value)),
+            _json_str(t.unit), _json_str(t.source_doc), _json_str(t.triplet_id))
+        for t in triplets])
 
 
 def parse_triplets_file(text: str) -> list[Triplet]:

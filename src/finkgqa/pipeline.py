@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,8 @@ class PipelineConfig:
         cfg = cls()
         apply_overrides(cfg, _flatten(raw))
         base = path.parent
-        cfg.data = {k: str(_resolve(base, v)) for k, v in cfg.data.items()}
+        # An empty path stays empty, so that split is skipped, not read as the directory.
+        cfg.data = {k: str(_resolve(base, v)) if v else v for k, v in cfg.data.items()}
         cfg.output_dir = str(_resolve(base, cfg.output_dir))
         cfg.cache_dir = str(_resolve(base, cfg.cache_dir))
         if cfg.prompt_asset:
@@ -118,14 +119,16 @@ def apply_overrides(cfg: PipelineConfig, overrides: dict) -> None:
             continue
         target = cfg
         parts = aliases.get(key, key).split(".")
-        for part in parts[:-1]:
-            if part == "providers":
-                continue
-            if not hasattr(target, part):
+        if (parts[0] == "providers" and len(parts) > 1
+                and isinstance(getattr(cfg, parts[1], None), ProviderConfig)):
+            parts = parts[1:]  # providers.<role>.<key> is <role>.<key>
+        *path, name = parts
+        for part in path:
+            # Only a provider section has fields of its own to descend into.
+            target = getattr(target, part, None)
+            if not isinstance(target, ProviderConfig):
                 raise KeyError(f"unknown config key: {key}")
-            target = getattr(target, part)
-        name = parts[-1]
-        if not hasattr(target, name):
+        if name not in {f.name for f in fields(target)}:
             raise KeyError(f"unknown config key: {key}")
         setattr(target, name, _coerce(key, getattr(target, name), value))
 

@@ -175,14 +175,14 @@ def linearize_table(table: Table) -> list[str]:
     Template: "For {row key}, {column header} is {cell value}." Cell values are
     reproduced verbatim; empty cells produce no sentence.
     """
+    phrases = [_column_phrase(h) for h in table.header[1:]]
     sentences = []
     for row in table.rows:
         row_key = row[0].strip() if row else ""
-        for col in range(1, len(table.header)):
-            cell = row[col].strip()
-            if not cell:
-                continue
-            sentences.append(f"For {row_key}, {_column_phrase(table.header[col].strip())} is {cell}.")
+        for phrase, cell in zip(phrases, row[1:]):
+            cell = cell.strip()
+            if cell:
+                sentences.append(f"For {row_key}, {phrase} is {cell}.")
     return sentences
 
 

@@ -1,7 +1,8 @@
+import json
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from finkgqa.kg_schema import (
     EmptyAfterNormalization,
@@ -9,6 +10,7 @@ from finkgqa.kg_schema import (
     NotNumeric,
     Period,
     PeriodKind,
+    Triplet,
     TripletParseError,
     UNKNOWN_PERIOD,
     canonical_metric,
@@ -167,8 +169,10 @@ def test_canonical_metric(raw, expected):
 
 
 def test_canonical_metric_empty():
-    with pytest.raises(EmptyAfterNormalization):
-        canonical_metric("  --  ")
+    # Each called twice: the memo must not keep a failure as if it were a result.
+    for raw in ("  --  ", "  --  ", "", ""):
+        with pytest.raises(EmptyAfterNormalization):
+            canonical_metric(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +197,21 @@ def test_validate_flags_non_canonical_metric():
     t = entergy_triplet()
     bad = make_triplet("NET_REVENUE", t.value, t.unit, company=t.company,
                        period=t.period, source_doc=t.source_doc)
-    bad = type(bad)(**{**bad.__dict__, "metric_type": "net revenue"})
+    bad = bad._replace(metric_type="net revenue")
     assert "MetricNotCanonical" in validate_triplet(bad)
 
 
 def test_validate_flags_object_value_mismatch():
     t = entergy_triplet()
-    bad = type(t)(**{**t.__dict__, "object": "approximately 5829 million USD"})
+    bad = t._replace(object="approximately 5829 million USD")
     assert "ObjectValueMismatch" in validate_triplet(bad)
 
 
 def test_validate_flags_bad_relation_and_id():
     t = entergy_triplet()
-    bad = type(t)(**{**t.__dict__, "relation": "VALUED_AT_2015"})
+    bad = t._replace(relation="VALUED_AT_2015")
     assert "RelationMalformed" in validate_triplet(bad)
-    bad = type(t)(**{**t.__dict__, "triplet_id": "0" * 32})
+    bad = t._replace(triplet_id="0" * 32)
     assert "TripletIdMismatch" in validate_triplet(bad)
 
 
@@ -275,3 +279,50 @@ def test_generated_triplets_are_valid(t):
     assert validate_triplet(t) == []
     assert relation_for_period(t.period) == t.relation
     assert t.object.startswith(render_decimal(t.value))
+
+
+def triplet_to_dict(t: Triplet) -> dict:
+    """Reference for one store line: json.dumps of this dict is what
+    serialize_triplets must write."""
+    return {
+        "subject": t.subject,
+        "relation": t.relation,
+        "object": t.object,
+        "metric_type": t.metric_type,
+        "company": t.company,
+        "period": t.period.canonical(),
+        "value": render_decimal(t.value),
+        "unit": t.unit,
+        "source_doc": t.source_doc,
+        "triplet_id": t.triplet_id,
+    }
+
+
+# Any text, plus the characters JSON escapes specially: quotes, backslashes,
+# control characters, U+2028 and a lone surrogate.
+any_text = st.text(alphabet=st.one_of(
+    st.characters(blacklist_categories=("Cs",)),
+    st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028",
+                     "\ud800", "é", "€", "😀"]),
+), max_size=12)
+loose_triplets = st.builds(
+    Triplet,
+    subject=any_text,
+    relation=any_text,
+    object=any_text,
+    metric_type=any_text,
+    company=st.one_of(st.none(), any_text),
+    period=periods,
+    value=values,
+    unit=st.one_of(st.just(""), any_text),
+    source_doc=any_text,
+    triplet_id=any_text,
+)
+
+
+@given(st.lists(loose_triplets, max_size=5))
+@example([Triplet('q"\\ \x00\x1f\u2028\ud800 é€😀', "R", "1 x", "M", None,
+                  UNKNOWN_PERIOD, Decimal("1"), "", "d\n", "id")])
+def test_serialize_matches_json_dumps(ts):
+    expected = "".join(json.dumps(triplet_to_dict(t)) + "\n" for t in ts)
+    assert serialize_triplets(ts) == expected

@@ -221,10 +221,22 @@ def test_config_from_file_with_relative_paths(tmp_path, corpus_path):
     assert cfg.extraction_backend == "table"
 
 
+def test_config_file_empty_split_is_skipped(tmp_path, corpus_path):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({
+        "data": {"dev": "", "test": str(corpus_path)},
+        "output_dir": "out",
+    }))
+    cfg = pl.PipelineConfig.from_file(config_file)
+    assert cfg.data["dev"] == ""
+    assert list(pl.cmd_ingest(cfg)) == ["test"]
+
+
 def test_overrides_reject_unknown_keys(tmp_path):
     cfg = pl.PipelineConfig()
     for key in ("no.such.key", "retriever.mode", "retriever.threshold", "data.holdout",
-                "retriever.hidden_size", "extraction.chunk_chars", "report.baseline_label"):
+                "retriever.hidden_size", "extraction.chunk_chars", "report.baseline_label",
+                "seed.real", "chat.kind.upper", "providers.seed", "providers"):
         with pytest.raises(KeyError, match=key):
             pl.apply_overrides(cfg, {key: "1"})
     for key in ("retriever.k", "providers.chat.temperature"):

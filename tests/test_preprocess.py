@@ -110,6 +110,41 @@ def test_linearize_deterministic():
     assert linearize_table(table) == linearize_table(table)
 
 
+def _linearize_per_cell(table: Table) -> list[str]:
+    """Reference: the column phrase recomputed for every cell."""
+    sentences = []
+    for row in table.rows:
+        row_key = row[0].strip() if row else ""
+        for col in range(1, len(table.header)):
+            cell = row[col].strip()
+            if not cell:
+                continue
+            phrase = " ".join(w if re.fullmatch(r"[A-Z][A-Z0-9]+", w) else w.lower()
+                              for w in table.header[col].strip().split())
+            sentences.append(f"For {row_key}, {phrase} is {cell}.")
+    return sentences
+
+
+header_words = st.sampled_from(["EPS", "Revenue", "net", "INCOME", "Q4", "X", "cAsH",
+                                "FY2020", "2021", "per-share", "(USD)"])
+header_cells = st.lists(header_words, max_size=4).flatmap(
+    lambda words: st.sampled_from([" ", "  ", "\t", " \u3000 "]).map(
+        lambda gap: gap + gap.join(words) + gap))
+row_cells = st.sampled_from(["", " ", "10", " $1,200 ", "(3.5)", "n/a", "2020"])
+
+
+@st.composite
+def tables(draw):
+    header = tuple(draw(st.lists(header_cells, min_size=1, max_size=5)))
+    rows = draw(st.lists(st.tuples(*[row_cells] * len(header)), max_size=4))
+    return Table(header=header, rows=tuple(rows))
+
+
+@given(tables())
+def test_linearize_matches_per_cell_reference(table):
+    assert linearize_table(table) == _linearize_per_cell(table)
+
+
 # ---------------------------------------------------------------------------
 # Assembly
 
