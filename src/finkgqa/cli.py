@@ -96,8 +96,10 @@ def main(argv: list[str] | None = None) -> int:
         stats = pipeline.cmd_train_retriever(cfg)
         print(json.dumps(stats))
     elif args.command == "answer":
-        n = pipeline.cmd_answer(cfg, args.split, args.mode)
-        print(json.dumps({"answered": n, "split": args.split, "mode": args.mode}))
+        counts = pipeline.cmd_answer(cfg, args.split, args.mode)
+        print(json.dumps({**counts, "split": args.split, "mode": args.mode}))
+        if counts["n_errors"]:  # the predictions file is written, but the run failed
+            return 1
     elif args.command == "evaluate":
         summary = pipeline.cmd_evaluate(cfg, args.split, args.mode)
         print(json.dumps(summary))

@@ -289,7 +289,7 @@ class EvalRecord:
     predicted: Answer
     gold: str
     gold_exe: Decimal | None = None
-    verdict: str = "INCORRECT"  # CORRECT | INCORRECT | JUDGE_ERROR | MISSING
+    verdict: str = "INCORRECT"  # CORRECT | INCORRECT | JUDGE_ERROR | MISSING | ERROR
     judge_used: str = "RULES"  # RULES | LLM | NONE
 
     def to_dict(self) -> dict:
@@ -309,7 +309,7 @@ def _rules_inconclusive(pred: str, gold: str) -> bool:
 
 def judge_record(record: EvalRecord, judge_client: ChatClient | None = None) -> EvalRecord:
     """Fill in the verdict, preferring the deterministic rules judge."""
-    if record.verdict == "MISSING":  # no prediction: nothing to judge
+    if record.verdict in ("MISSING", "ERROR"):  # no prediction: nothing to judge
         return record
     pred = record.predicted.raw_text
     correct = numbers_equivalent(pred, record.gold)
@@ -331,7 +331,7 @@ def judge_record(record: EvalRecord, judge_client: ChatClient | None = None) -> 
 
 def evaluate_split(records: list[EvalRecord],
                    judge_client: ChatClient | None = None) -> tuple[float, list[EvalRecord]]:
-    """Judge every record; accuracy counts JUDGE_ERROR and MISSING as incorrect."""
+    """Judge every record; accuracy counts JUDGE_ERROR, MISSING and ERROR as incorrect."""
     if not records:
         raise EmptyInput("no records to evaluate")
     judged = [judge_record(r, judge_client) for r in records]

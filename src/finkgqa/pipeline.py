@@ -21,8 +21,8 @@ from .embedding import LocalHashEmbedder, RemoteEmbedder
 from .evaluator import EvalRecord
 from .extraction import DocumentExtractor
 from .kg_schema import parse_triplets_file, serialize_triplets
-from .llm_client import (ChatClient, MockChatTransport, ProviderConfig, ResponseCache,
-                         write_atomic)
+from .llm_client import (ChatClient, LlmUnavailable, MockChatTransport, ProviderConfig,
+                         ResponseCache, write_atomic)
 from .preprocess import FinDocument, assemble_text, linearize_table, load_split
 
 logger = logging.getLogger(__name__)
@@ -323,51 +323,71 @@ def cmd_train_retriever(cfg: PipelineConfig) -> dict:
     return {"pairs": len(y), "positives": n_pos, "final_loss": history[-1]}
 
 
-def cmd_answer(cfg: PipelineConfig, split: str, mode: str) -> int:
-    """Answer the split's questions, from filtered facts (kg) or raw text (vanilla)."""
+def cmd_answer(cfg: PipelineConfig, split: str, mode: str) -> dict[str, int]:
+    """Answer the split's questions, from filtered facts (kg) or raw text (vanilla).
+
+    Returns the number of questions answered and the number whose request failed.
+    A failed request fails only its own question: its line is written with an
+    empty answer and an `error` key, which no other line carries.
+    """
     if mode not in ("vanilla", "kg"):
         raise ValueError(f"mode must be vanilla or kg, got {mode!r}")
     docs = _load_documents(cfg, split)
     client = build_chat_client(cfg.chat, cfg.cache_dir)
 
-    model = None
-    embedder = None
-    by_doc: dict[str, list] = {}
-    if mode == "kg":
+    # Scoring and prompt building run here, in document order: on the pool's
+    # threads they would contend for the interpreter lock with the requests.
+    if mode == "vanilla":
+        prompts = [reasoner.build_text_prompt(doc.question, assemble_text(doc))
+                   for doc in docs]
+        retrieved: list[list[str]] = [[] for _ in docs]
+    else:
         store = _require(triplets_path(cfg, split), "extract")
+        by_doc: dict[str, list] = {}
         for t in parse_triplets_file(store.read_text(encoding="utf-8")):
             by_doc.setdefault(t.source_doc, []).append(t)
         model = retriever.load_model(_require(model_path(cfg), "train-retriever"))
         embedder = build_embedder(cfg.embeddings, cfg.cache_dir)
-
-    def answer_one(doc: FinDocument) -> str:
-        if mode == "vanilla":
-            prompt = reasoner.build_text_prompt(doc.question, assemble_text(doc))
-            answer = reasoner.answer_from_text(prompt, client)
-            retrieved: list[str] = []
-        else:
+        prompts, retrieved = [], []
+        for doc in docs:
             picked = retriever.filter_topk(doc.question, by_doc.get(doc.id, []), model,
                                            embedder, cfg.retriever_k)
             facts = [t for t, _ in picked]
-            prompt = reasoner.build_reasoning_prompt(doc.question, facts)
-            answer = reasoner.answer_question(prompt, client)
-            retrieved = [t.triplet_id for t in facts]
-        return json.dumps({
+            prompts.append(reasoner.build_reasoning_prompt(doc.question, facts))
+            retrieved.append([t.triplet_id for t in facts])
+
+    def request(prompt: str) -> tuple[reasoner.Answer, str | None]:
+        try:
+            if mode == "vanilla":
+                return reasoner.answer_from_text(prompt, client), None
+            return reasoner.answer_question(prompt, client), None
+        except LlmUnavailable as exc:
+            return reasoner.Answer(raw_text=""), str(exc)
+
+    # Only the provider requests go to the pool, max_inflight of them at a time.
+    with ThreadPoolExecutor(max_workers=max(cfg.max_inflight, 1)) as pool:
+        replies = list(pool.map(request, prompts))
+
+    lines = []
+    for doc, prompt, ids, (answer, error) in zip(docs, prompts, retrieved, replies):
+        entry = {
             "doc_id": doc.id,
             "question": doc.question.text,
             "answer": answer.raw_text,
             "kind": answer.kind,
             "fallback_used": answer.fallback_used,
-            "retrieved": retrieved,
+            "retrieved": ids,
             "prompt": prompt,
-        })
-
-    # parallel per question, but written in document order for determinism
-    with ThreadPoolExecutor(max_workers=max(cfg.max_inflight, 1)) as pool:
-        lines = list(pool.map(answer_one, docs))
-    write_atomic(predictions_path(cfg, split, mode), "".join(l + "\n" for l in lines))
-    logger.info("answered %d questions (%s, %s mode)", len(lines), split, mode)
-    return len(lines)
+        }
+        if error is not None:
+            entry["error"] = error
+            logger.warning("%s/%s: no answer for %s: %s", split, mode, doc.id, error)
+        lines.append(json.dumps(entry) + "\n")
+    write_atomic(predictions_path(cfg, split, mode), "".join(lines))
+    n_errors = sum(1 for _, error in replies if error is not None)
+    logger.info("answered %d of %d questions (%s, %s mode)",
+                len(lines) - n_errors, len(lines), split, mode)
+    return {"answered": len(lines) - n_errors, "n_errors": n_errors}
 
 
 def cmd_evaluate(cfg: PipelineConfig, split: str, mode: str) -> dict:
@@ -387,12 +407,15 @@ def cmd_evaluate(cfg: PipelineConfig, split: str, mode: str) -> dict:
         raw_answer = str(entry["answer"])
         predicted = (reasoner.parse_answer(f"ANSWER: {raw_answer}")
                      if raw_answer.strip() else reasoner.Answer(raw_text=""))
-        records.append(EvalRecord(
+        record = EvalRecord(
             doc_id=entry["doc_id"],
             predicted=predicted,
             gold=doc.question.gold_answer,
             gold_exe=doc.question.gold_exe_answer,
-        ))
+        )
+        if "error" in entry:  # the answer request failed: nothing to judge
+            record.verdict, record.judge_used = "ERROR", "NONE"
+        records.append(record)
     # Every split document is in the denominator: one without a prediction is wrong.
     answered = {r.doc_id for r in records}
     missing = [EvalRecord(doc_id=doc.id, predicted=reasoner.Answer(raw_text=""),
@@ -415,6 +438,7 @@ def cmd_evaluate(cfg: PipelineConfig, split: str, mode: str) -> dict:
         "mode": mode,
         "n": len(judged),
         "n_missing": len(missing),
+        "n_errors": sum(1 for r in judged if r.verdict == "ERROR"),
         "correct": sum(1 for r in judged if r.verdict == "CORRECT"),
         "accuracy": accuracy,
         "accuracy_pct": 100.0 * accuracy,

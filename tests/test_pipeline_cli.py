@@ -192,6 +192,104 @@ def test_vanilla_and_kg_share_reasoning_surface(tmp_path, corpus_path):
 
 
 # ---------------------------------------------------------------------------
+# Answering: where the work runs, and what a failed request does
+
+
+def _answer_lines(cfg: pl.PipelineConfig, mode: str) -> list[str]:
+    path = pl.predictions_path(cfg, "test", mode)
+    return path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+def _failing_for(question: str):
+    """A mock transport class that answers 503 to every request naming `question`."""
+    class Failing(pl.MockChatTransport):
+        def __call__(self, url, payload, headers, timeout):
+            if question in payload["messages"][-1]["content"]:
+                return 503, {"error": "overloaded"}
+            return super().__call__(url, payload, headers, timeout)
+    return Failing
+
+
+def test_scoring_runs_on_the_calling_thread_and_requests_in_the_pool(
+        tmp_path, corpus_path, monkeypatch):
+    import threading
+
+    from finkgqa import retriever
+    from finkgqa.llm_client import ChatClient
+
+    cfg = _config(tmp_path, corpus_path)
+    cfg.max_inflight = 4
+    pl.cmd_ingest(cfg)
+    pl.cmd_extract(cfg)
+    pl.cmd_train_retriever(cfg)
+
+    threads: dict[str, list[int]] = {"filter_topk": [], "assemble_text": [], "complete": []}
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            threads[name].append(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(retriever, "filter_topk",
+                        recording("filter_topk", retriever.filter_topk))
+    monkeypatch.setattr(pl, "assemble_text", recording("assemble_text", pl.assemble_text))
+    monkeypatch.setattr(ChatClient, "complete", recording("complete", ChatClient.complete))
+    pl.cmd_answer(cfg, "test", "kg")
+    pl.cmd_answer(cfg, "test", "vanilla")
+
+    caller = threading.get_ident()
+    assert len(threads["filter_topk"]) == len(threads["assemble_text"]) == 5
+    assert set(threads["filter_topk"]) == set(threads["assemble_text"]) == {caller}
+    assert len(threads["complete"]) == 10
+    assert caller not in threads["complete"]
+
+
+def test_predictions_do_not_depend_on_the_worker_count(tmp_path, corpus_path):
+    runs = []
+    for workers in (1, 4):
+        cfg = _config(tmp_path, corpus_path, subdir=f"workers-{workers}")
+        cfg.max_inflight = workers
+        _run_all(cfg)
+        runs.append(cfg)
+    for mode in ("vanilla", "kg"):
+        one, four = (pl.predictions_path(cfg, "test", mode).read_bytes() for cfg in runs)
+        assert one == four, mode
+
+
+def test_failed_request_fails_only_its_question(tmp_path, corpus_path, corpus_docs,
+                                                monkeypatch):
+    clean = _config(tmp_path, corpus_path, subdir="clean")
+    pl.cmd_ingest(clean)
+    pl.cmd_answer(clean, "test", "vanilla")
+
+    cfg = _config(tmp_path, corpus_path)
+    cfg.chat.max_retries = 0
+    pl.cmd_ingest(cfg)
+    failed = corpus_docs[1]
+    monkeypatch.setattr(pl, "MockChatTransport", _failing_for(failed.question.text))
+    assert pl.cmd_answer(cfg, "test", "vanilla") == {"answered": 4, "n_errors": 1}
+
+    lines, clean_lines = _answer_lines(cfg, "vanilla"), _answer_lines(clean, "vanilla")
+    assert len(lines) == 5
+    entry = json.loads(lines.pop(1))
+    assert entry["doc_id"] == failed.id
+    assert entry["answer"] == ""
+    assert "503" in entry["error"]
+    clean_lines.pop(1)
+    assert lines == clean_lines  # every other line keeps its bytes
+
+    summary = pl.cmd_evaluate(cfg, "test", "vanilla")
+    assert (summary["n"], summary["n_errors"], summary["n_missing"]) == (5, 1, 0)
+    assert summary["accuracy"] == pytest.approx(0.8)
+    verdicts = [json.loads(line) for line in
+                pl.verdicts_path(cfg, "test", "vanilla").read_text().splitlines()]
+    assert verdicts[1]["verdict"] == "ERROR"
+    assert verdicts[1]["judge_used"] == "NONE"
+    assert [v["verdict"] for v in verdicts].count("CORRECT") == 4
+
+
+# ---------------------------------------------------------------------------
 # Config handling
 
 
@@ -348,6 +446,18 @@ def test_cli_six_commands(tmp_path, corpus_path, capsys):
     assert cli.main(["report", "--config", config, "--baseline", "0", "--treatment", "0"]) == 0
     treatment = (tmp_path / "out" / "report.txt").read_text().splitlines()[2]
     assert treatment.split()[-2:] == ["+0.00", "-"]
+
+
+def test_cli_answer_exits_1_when_a_request_failed(tmp_path, corpus_path, corpus_docs,
+                                                  capsys, monkeypatch):
+    config = str(_write_cli_config(tmp_path, corpus_path))
+    assert cli.main(["ingest", "--config", config]) == 0
+    monkeypatch.setattr(pl, "MockChatTransport", _failing_for(corpus_docs[0].question.text))
+    capsys.readouterr()
+    assert cli.main(["answer", "--config", config, "--mode", "vanilla",
+                     "--set", "providers.chat.max_retries=0"]) == 1
+    assert json.loads(capsys.readouterr().out)["n_errors"] == 1
+    assert (tmp_path / "out" / "predictions_test_vanilla.jsonl").exists()
 
 
 def test_cli_set_overrides(tmp_path, corpus_path, capsys):
