@@ -21,8 +21,8 @@ from .embedding import LocalHashEmbedder, RemoteEmbedder
 from .evaluator import EvalRecord
 from .extraction import DocumentExtractor
 from .kg_schema import parse_triplets_file, serialize_triplets
-from .llm_client import (ChatClient, LlmUnavailable, MockChatTransport, ProviderConfig,
-                         ResponseCache, write_atomic)
+from .llm_client import (ChatClient, LlmTruncated, LlmUnavailable, MockChatTransport,
+                         ProviderConfig, ResponseCache, write_atomic)
 from .preprocess import FinDocument, assemble_text, linearize_table, load_split
 
 logger = logging.getLogger(__name__)
@@ -326,50 +326,61 @@ def cmd_train_retriever(cfg: PipelineConfig) -> dict:
 def cmd_answer(cfg: PipelineConfig, split: str, mode: str) -> dict[str, int]:
     """Answer the split's questions, from filtered facts (kg) or raw text (vanilla).
 
-    Returns the number of questions answered and the number whose request failed.
-    A failed request fails only its own question: its line is written with an
-    empty answer and an `error` key, which no other line carries.
+    Returns the number of questions answered and the number that failed. A
+    provider request that fails (`LlmUnavailable`, or `LlmTruncated` for a
+    reply cut at max_tokens) fails only its own question: its line is written
+    with an empty answer and an `error` key, which no other line carries.
     """
     if mode not in ("vanilla", "kg"):
         raise ValueError(f"mode must be vanilla or kg, got {mode!r}")
     docs = _load_documents(cfg, split)
     client = build_chat_client(cfg.chat, cfg.cache_dir)
-
-    # Scoring and prompt building run here, in document order: on the pool's
-    # threads they would contend for the interpreter lock with the requests.
-    if mode == "vanilla":
-        prompts = [reasoner.build_text_prompt(doc.question, assemble_text(doc))
-                   for doc in docs]
-        retrieved: list[list[str]] = [[] for _ in docs]
-    else:
+    embedder = None
+    if mode == "kg":
         store = _require(triplets_path(cfg, split), "extract")
         by_doc: dict[str, list] = {}
         for t in parse_triplets_file(store.read_text(encoding="utf-8")):
             by_doc.setdefault(t.source_doc, []).append(t)
         model = retriever.load_model(_require(model_path(cfg), "train-retriever"))
         embedder = build_embedder(cfg.embeddings, cfg.cache_dir)
-        prompts, retrieved = [], []
-        for doc in docs:
+
+    def prepare(doc: FinDocument) -> tuple[str, list[str], str | None]:
+        """The question's prompt, its retrieved triplet ids, and the error that stopped it."""
+        if mode == "vanilla":
+            return reasoner.build_text_prompt(doc.question, assemble_text(doc)), [], None
+        try:
             picked = retriever.filter_topk(doc.question, by_doc.get(doc.id, []), model,
                                            embedder, cfg.retriever_k)
-            facts = [t for t, _ in picked]
-            prompts.append(reasoner.build_reasoning_prompt(doc.question, facts))
-            retrieved.append([t.triplet_id for t in facts])
+        except LlmUnavailable as exc:  # an embeddings request failed
+            return "", [], str(exc)
+        facts = [t for t, _ in picked]
+        return (reasoner.build_reasoning_prompt(doc.question, facts),
+                [t.triplet_id for t in facts], None)
 
-    def request(prompt: str) -> tuple[reasoner.Answer, str | None]:
-        try:
-            if mode == "vanilla":
-                return reasoner.answer_from_text(prompt, client), None
-            return reasoner.answer_question(prompt, client), None
-        except LlmUnavailable as exc:
-            return reasoner.Answer(raw_text=""), str(exc)
+    def request(prepared: tuple) -> tuple[reasoner.Answer, str | None]:
+        prompt, _, error = prepared
+        if error is None:
+            try:
+                if mode == "vanilla":
+                    return reasoner.answer_from_text(prompt, client), None
+                return reasoner.answer_question(prompt, client), None
+            except (LlmUnavailable, LlmTruncated) as exc:
+                error = str(exc)
+        return reasoner.Answer(raw_text=""), error
 
-    # Only the provider requests go to the pool, max_inflight of them at a time.
     with ThreadPoolExecutor(max_workers=max(cfg.max_inflight, 1)) as pool:
-        replies = list(pool.map(request, prompts))
+        if isinstance(embedder, RemoteEmbedder):
+            # Scoring waits on embeddings requests: each question's retrieval
+            # runs on a worker, so max_inflight of them are in flight.
+            prepared = list(pool.map(prepare, docs))
+        else:
+            # Scoring and prompt building are CPU-bound: on the workers they
+            # would contend for the interpreter lock with the chat requests.
+            prepared = [prepare(doc) for doc in docs]
+        replies = list(pool.map(request, prepared))
 
     lines = []
-    for doc, prompt, ids, (answer, error) in zip(docs, prompts, retrieved, replies):
+    for doc, (prompt, ids, _), (answer, error) in zip(docs, prepared, replies):
         entry = {
             "doc_id": doc.id,
             "question": doc.question.text,

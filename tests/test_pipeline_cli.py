@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from finkgqa import cli, pipeline as pl
+from finkgqa.llm_client import chat_response
 
 
 def _config(tmp_path: Path, corpus: Path, scramble: bool = False,
@@ -200,14 +201,39 @@ def _answer_lines(cfg: pl.PipelineConfig, mode: str) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines(keepends=True)
 
 
-def _failing_for(question: str):
-    """A mock transport class that answers 503 to every request naming `question`."""
+def _failing_for(question: str, reply: tuple = (503, {"error": "overloaded"})):
+    """A mock transport class that sends `reply` to every request naming `question`."""
     class Failing(pl.MockChatTransport):
         def __call__(self, url, payload, headers, timeout):
             if question in payload["messages"][-1]["content"]:
-                return 503, {"error": "overloaded"}
+                return reply
             return super().__call__(url, payload, headers, timeout)
     return Failing
+
+
+def _embeddings_server(threads: list[int], failing_text: str | None = None):
+    """An http transport serving local hash embeddings; it answers 503 to `failing_text`
+    and records the thread of every request in `threads`."""
+    import threading
+
+    from finkgqa.embedding import LocalHashEmbedder
+
+    local = LocalHashEmbedder()
+
+    def transport(url, payload, headers, timeout):
+        assert url.endswith("/embeddings")
+        threads.append(threading.get_ident())
+        if payload["input"] == failing_text:
+            return 503, {"error": "overloaded"}
+        return 200, {"data": [{"embedding": local.embed(payload["input"]).tolist()}]}
+    return transport
+
+
+def _http_embeddings_config(tmp_path: Path, corpus: Path) -> pl.PipelineConfig:
+    cfg = _config(tmp_path, corpus)
+    cfg.embeddings = pl.ProviderConfig(kind="http", endpoint="http://127.0.0.1:9",
+                                       model="embed", max_retries=0)
+    return cfg
 
 
 def test_scoring_runs_on_the_calling_thread_and_requests_in_the_pool(
@@ -257,8 +283,12 @@ def test_predictions_do_not_depend_on_the_worker_count(tmp_path, corpus_path):
         assert one == four, mode
 
 
+@pytest.mark.parametrize("reply, error", [
+    ((503, {"error": "overloaded"}), "503"),  # LlmUnavailable
+    ((200, chat_response("ANSWER: 1", finish_reason="length")), "max_tokens"),  # LlmTruncated
+], ids=["unavailable", "truncated"])
 def test_failed_request_fails_only_its_question(tmp_path, corpus_path, corpus_docs,
-                                                monkeypatch):
+                                                monkeypatch, reply, error):
     clean = _config(tmp_path, corpus_path, subdir="clean")
     pl.cmd_ingest(clean)
     pl.cmd_answer(clean, "test", "vanilla")
@@ -267,7 +297,7 @@ def test_failed_request_fails_only_its_question(tmp_path, corpus_path, corpus_do
     cfg.chat.max_retries = 0
     pl.cmd_ingest(cfg)
     failed = corpus_docs[1]
-    monkeypatch.setattr(pl, "MockChatTransport", _failing_for(failed.question.text))
+    monkeypatch.setattr(pl, "MockChatTransport", _failing_for(failed.question.text, reply))
     assert pl.cmd_answer(cfg, "test", "vanilla") == {"answered": 4, "n_errors": 1}
 
     lines, clean_lines = _answer_lines(cfg, "vanilla"), _answer_lines(clean, "vanilla")
@@ -275,7 +305,7 @@ def test_failed_request_fails_only_its_question(tmp_path, corpus_path, corpus_do
     entry = json.loads(lines.pop(1))
     assert entry["doc_id"] == failed.id
     assert entry["answer"] == ""
-    assert "503" in entry["error"]
+    assert error in entry["error"]
     clean_lines.pop(1)
     assert lines == clean_lines  # every other line keeps its bytes
 
@@ -287,6 +317,63 @@ def test_failed_request_fails_only_its_question(tmp_path, corpus_path, corpus_do
     assert verdicts[1]["verdict"] == "ERROR"
     assert verdicts[1]["judge_used"] == "NONE"
     assert [v["verdict"] for v in verdicts].count("CORRECT") == 4
+
+
+def test_retrieval_with_http_embeddings_runs_on_the_workers(tmp_path, corpus_path,
+                                                           monkeypatch):
+    import threading
+
+    from finkgqa import llm_client, retriever
+
+    cfg = _http_embeddings_config(tmp_path, corpus_path)
+    requests: list[int] = []
+    monkeypatch.setattr(llm_client, "http_transport", _embeddings_server(requests))
+    pl.cmd_ingest(cfg)
+    pl.cmd_extract(cfg)
+    pl.cmd_train_retriever(cfg)
+
+    scored: list[int] = []
+
+    def recording(*args, **kwargs):
+        scored.append(threading.get_ident())
+        return filter_topk(*args, **kwargs)
+
+    filter_topk = retriever.filter_topk
+    monkeypatch.setattr(retriever, "filter_topk", recording)
+    cfg.cache_dir = str(tmp_path / "cold-cache")  # every embeddings request is sent
+    requests.clear()
+    assert pl.cmd_answer(cfg, "test", "kg") == {"answered": 5, "n_errors": 0}
+    # Scoring waits on the embeddings requests, so it runs where they may overlap.
+    assert len(scored) == 5
+    assert requests
+    assert threading.get_ident() not in scored + requests
+
+
+def test_failed_embeddings_request_fails_only_its_question(tmp_path, corpus_path,
+                                                          corpus_docs, monkeypatch):
+    from finkgqa import llm_client
+
+    cfg = _http_embeddings_config(tmp_path, corpus_path)
+    monkeypatch.setattr(llm_client, "http_transport", _embeddings_server([]))
+    pl.cmd_ingest(cfg)
+    pl.cmd_extract(cfg)
+    pl.cmd_train_retriever(cfg)
+    pl.cmd_answer(cfg, "test", "kg")
+    clean_lines = _answer_lines(cfg, "kg")
+
+    failed = corpus_docs[2]
+    cfg.cache_dir = str(tmp_path / "cold-cache")  # the question's embedding is not cached
+    monkeypatch.setattr(llm_client, "http_transport",
+                        _embeddings_server([], failing_text=failed.question.text))
+    assert pl.cmd_answer(cfg, "test", "kg") == {"answered": 4, "n_errors": 1}
+
+    lines = _answer_lines(cfg, "kg")
+    entry = json.loads(lines.pop(2))
+    assert entry["doc_id"] == failed.id
+    assert (entry["answer"], entry["retrieved"], entry["prompt"]) == ("", [], "")
+    assert "503" in entry["error"]
+    clean_lines.pop(2)
+    assert lines == clean_lines
 
 
 # ---------------------------------------------------------------------------
