@@ -91,7 +91,9 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"ingested": counts}))
     elif args.command == "extract":
         counts = pipeline.cmd_extract(cfg)
-        print(json.dumps({"triplets": counts}))
+        print(json.dumps(counts))
+        if counts["n_errors"]:  # the triplet store is written, but the run failed
+            return 1
     elif args.command == "train-retriever":
         stats = pipeline.cmd_train_retriever(cfg)
         print(json.dumps(stats))

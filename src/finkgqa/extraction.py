@@ -25,7 +25,7 @@ from .kg_schema import (
     parse_numeric,
     validate_triplet,
 )
-from .llm_client import ChatClient, LlmTruncated
+from .llm_client import ChatClient, LlmTruncated, LlmUnavailable
 from .preprocess import FinDocument, linearize_table
 
 logger = logging.getLogger(__name__)
@@ -254,6 +254,11 @@ class DocumentExtractor:
                                    "of %d sentences", doc.id, len(chunk))
                     continue
                 rejected.append((" ".join(chunk)[:200], ("LlmTruncated",)))
+                continue
+            except LlmUnavailable as exc:
+                # One failed request loses this chunk, not the document or the split.
+                logger.warning("doc %s: chunk request failed: %s", doc.id, exc)
+                rejected.append((" ".join(chunk)[:200], ("LlmUnavailable",)))
                 continue
             try:
                 parsed = parse_extraction_response(reply, doc.id)

@@ -228,6 +228,20 @@ def _require(path: Path, producer: str) -> Path:
 # ---------------------------------------------------------------------------
 # Commands
 
+def _map_requests(fn, items: list, provider: ProviderConfig | None,
+                  max_inflight: int) -> list:
+    """`[fn(item) for item in items]`, where each call may send requests to `provider`.
+
+    Calls to an `http` provider wait on the network, so `max_inflight` of them
+    run at once on worker threads. An in-process provider is CPU-bound: on the
+    workers its calls would only contend for the interpreter lock.
+    """
+    if provider is None or provider.kind != "http":
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=max(max_inflight, 1)) as pool:
+        return list(pool.map(fn, items))
+
+
 def cmd_ingest(cfg: PipelineConfig) -> dict[str, int]:
     """Parse every configured split and write assembled document text."""
     counts = {}
@@ -246,9 +260,13 @@ def cmd_ingest(cfg: PipelineConfig) -> dict[str, int]:
     return counts
 
 
-def cmd_extract(cfg: PipelineConfig) -> dict[str, int]:
-    """Extract triplets for every configured split into the triplet store."""
-    counts = {}
+def cmd_extract(cfg: PipelineConfig) -> dict:
+    """Extract triplets for every configured split into the triplet store.
+
+    Returns the triplet count per split and the number of failed chat requests;
+    each loses only its own chunk, which is written to the rejected file.
+    """
+    counts, n_errors = {}, 0
     for split in _configured_splits(cfg):
         _require(documents_path(cfg, split), "ingest")
         docs = _load_documents(cfg, split)
@@ -257,11 +275,10 @@ def cmd_extract(cfg: PipelineConfig) -> dict[str, int]:
         else:
             client = build_chat_client(cfg.chat, cfg.cache_dir)
             extractor = DocumentExtractor(client, asset_path=cfg.prompt_asset or None)
-            with ThreadPoolExecutor(max_workers=max(cfg.max_inflight, 1)) as pool:
-                results = list(pool.map(extractor.extract, docs))
+            results = _map_requests(extractor.extract, docs, cfg.chat, cfg.max_inflight)
             per_doc = [list(r.triplets) for r in results]
             # keep every rejected fragment on disk for auditing
-            audit_lines = []
+            audit_lines, failed = [], 0
             for result in results:
                 for fragment, violations in result.rejected:
                     audit_lines.append(json.dumps({
@@ -269,16 +286,18 @@ def cmd_extract(cfg: PipelineConfig) -> dict[str, int]:
                         "fragment": fragment,
                         "violations": list(violations),
                     }))
+                    failed += violations == ("LlmUnavailable",)
             write_atomic(rejected_path(cfg, split),
                          "".join(l + "\n" for l in audit_lines))
             if audit_lines:
-                logger.info("split %s: %d fragments rejected by validation",
-                            split, len(audit_lines))
+                logger.info("split %s: %d fragments rejected, %d of them by a failed "
+                            "request", split, len(audit_lines), failed)
+            n_errors += failed
         triplets = [t for group in per_doc for t in group]
         write_atomic(triplets_path(cfg, split), serialize_triplets(triplets))
         counts[split] = len(triplets)
         logger.info("extracted %d triplets for split %s", len(triplets), split)
-    return counts
+    return {"triplets": counts, "n_errors": n_errors}
 
 
 def cmd_train_retriever(cfg: PipelineConfig) -> dict:
@@ -368,16 +387,10 @@ def cmd_answer(cfg: PipelineConfig, split: str, mode: str) -> dict[str, int]:
                 error = str(exc)
         return reasoner.Answer(raw_text=""), error
 
-    with ThreadPoolExecutor(max_workers=max(cfg.max_inflight, 1)) as pool:
-        if isinstance(embedder, RemoteEmbedder):
-            # Scoring waits on embeddings requests: each question's retrieval
-            # runs on a worker, so max_inflight of them are in flight.
-            prepared = list(pool.map(prepare, docs))
-        else:
-            # Scoring and prompt building are CPU-bound: on the workers they
-            # would contend for the interpreter lock with the chat requests.
-            prepared = [prepare(doc) for doc in docs]
-        replies = list(pool.map(request, prepared))
+    # Only kg mode's retrieval sends embeddings requests.
+    prepared = _map_requests(prepare, docs, cfg.embeddings if mode == "kg" else None,
+                             cfg.max_inflight)
+    replies = _map_requests(request, prepared, cfg.chat, cfg.max_inflight)
 
     lines = []
     for doc, (prompt, ids, _), (answer, error) in zip(docs, prepared, replies):

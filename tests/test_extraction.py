@@ -301,3 +301,26 @@ def test_truncated_chunks_are_split_and_retried(corpus_docs):
     assert result.triplets == ()
     # single sentences that still truncate are recorded, not fatal
     assert any(violations == ("LlmTruncated",) for _, violations in result.rejected)
+
+
+def test_failed_chunk_request_loses_only_that_chunk(answer_key, corpus_docs):
+    doc = corpus_docs[0]
+    failing = "For 2021, net revenue is $120."
+    mock = MockChatTransport(answer_key=answer_key)
+
+    def transport(url, payload, headers, timeout):
+        if failing in payload["messages"][-1]["content"]:
+            return 503, {"error": "overloaded"}
+        return mock(url, payload, headers, timeout)
+
+    def extract(transport):
+        cfg = ProviderConfig(model="m", endpoint="http://mock.invalid", max_retries=0)
+        # one sentence per chunk, so the failing sentence is one request
+        extractor = DocumentExtractor(ChatClient(cfg, transport=transport),
+                                      chunk_chars=1, chunk_overlap=0)
+        return extractor.extract(doc)
+
+    healthy, result = extract(mock), extract(transport)
+    assert [t.value for t in healthy.triplets] == [100, 80, 120, 90]
+    assert result.triplets == tuple(t for t in healthy.triplets if t.value != 120)
+    assert result.rejected == ((failing, ("LlmUnavailable",)),)

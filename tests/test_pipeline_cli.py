@@ -236,18 +236,32 @@ def _http_embeddings_config(tmp_path: Path, corpus: Path) -> pl.PipelineConfig:
     return cfg
 
 
+def _chat_server(corpus: Path):
+    """An http transport that answers chat requests as the in-process mock does."""
+    mock = pl.MockChatTransport(answer_key=pl._mock_answer_key(str(corpus)))
+
+    def transport(url, payload, headers, timeout):
+        assert url.endswith("/chat/completions")
+        return mock(url, payload, headers, timeout)
+    return transport
+
+
+def _http_chat_config(tmp_path: Path, corpus: Path, subdir: str) -> pl.PipelineConfig:
+    cfg = _config(tmp_path, corpus, subdir=subdir)
+    # The in-process mock's model name: every request payload is the same.
+    cfg.chat = pl.ProviderConfig(kind="http", endpoint="http://127.0.0.1:9",
+                                 model="mock-chat", max_retries=0)
+    return cfg
+
+
 def test_scoring_runs_on_the_calling_thread_and_requests_in_the_pool(
         tmp_path, corpus_path, monkeypatch):
+    """In-process providers run on the calling thread and build no pool; requests
+    to an http chat provider run on the workers, and scoring stays on the caller."""
     import threading
 
-    from finkgqa import retriever
+    from finkgqa import llm_client, retriever
     from finkgqa.llm_client import ChatClient
-
-    cfg = _config(tmp_path, corpus_path)
-    cfg.max_inflight = 4
-    pl.cmd_ingest(cfg)
-    pl.cmd_extract(cfg)
-    pl.cmd_train_retriever(cfg)
 
     threads: dict[str, list[int]] = {"filter_topk": [], "assemble_text": [], "complete": []}
 
@@ -257,30 +271,69 @@ def test_scoring_runs_on_the_calling_thread_and_requests_in_the_pool(
             return fn(*args, **kwargs)
         return wrapper
 
+    pools = []
+
+    class RecordingPool(pl.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(pl, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(retriever, "filter_topk",
                         recording("filter_topk", retriever.filter_topk))
     monkeypatch.setattr(pl, "assemble_text", recording("assemble_text", pl.assemble_text))
     monkeypatch.setattr(ChatClient, "complete", recording("complete", ChatClient.complete))
+    caller = threading.get_ident()
+
+    cfg = _config(tmp_path, corpus_path)
+    cfg.max_inflight = 4
+    pl.cmd_ingest(cfg)
+    pl.cmd_extract(cfg)
+    pl.cmd_train_retriever(cfg)
     pl.cmd_answer(cfg, "test", "kg")
     pl.cmd_answer(cfg, "test", "vanilla")
+    # 10 extraction requests (train and test) and 10 answers; ingest assembles
+    # 10 documents' text and vanilla answering 5; all on the caller
+    assert len(threads["complete"]) == 20
+    assert (len(threads["filter_topk"]), len(threads["assemble_text"])) == (5, 15)
+    assert set(threads["complete"]) == set(threads["filter_topk"]) \
+        == set(threads["assemble_text"]) == {caller}
+    assert pools == []
 
-    caller = threading.get_ident()
-    assert len(threads["filter_topk"]) == len(threads["assemble_text"]) == 5
-    assert set(threads["filter_topk"]) == set(threads["assemble_text"]) == {caller}
-    assert len(threads["complete"]) == 10
+    for calls in threads.values():
+        calls.clear()
+    cfg = _http_chat_config(tmp_path, corpus_path, subdir="http")
+    cfg.max_inflight = 4
+    monkeypatch.setattr(llm_client, "http_transport", _chat_server(corpus_path))
+    pl.cmd_ingest(cfg)
+    pl.cmd_extract(cfg)
+    pl.cmd_train_retriever(cfg)
+    pl.cmd_answer(cfg, "test", "kg")
+    pl.cmd_answer(cfg, "test", "vanilla")
+    assert len(threads["complete"]) == 20
     assert caller not in threads["complete"]
+    assert (len(threads["filter_topk"]), len(threads["assemble_text"])) == (5, 15)
+    assert set(threads["filter_topk"]) == set(threads["assemble_text"]) == {caller}
+    # one pool per split for extract, and one for each answer's chat requests
+    assert pools == [{"max_workers": 4}] * 4
 
 
-def test_predictions_do_not_depend_on_the_worker_count(tmp_path, corpus_path):
-    runs = []
+def test_predictions_do_not_depend_on_the_worker_count(tmp_path, corpus_path, monkeypatch):
+    """An http-served mock, on one worker thread or four, writes the in-process
+    mock's bytes."""
+    from finkgqa import llm_client
+
+    inline = _config(tmp_path, corpus_path, subdir="in-process")
+    _run_all(inline)
+    monkeypatch.setattr(llm_client, "http_transport", _chat_server(corpus_path))
     for workers in (1, 4):
-        cfg = _config(tmp_path, corpus_path, subdir=f"workers-{workers}")
+        cfg = _http_chat_config(tmp_path, corpus_path, subdir=f"workers-{workers}")
         cfg.max_inflight = workers
         _run_all(cfg)
-        runs.append(cfg)
-    for mode in ("vanilla", "kg"):
-        one, four = (pl.predictions_path(cfg, "test", mode).read_bytes() for cfg in runs)
-        assert one == four, mode
+        for name in ("triplets_train.jsonl", "triplets_test.jsonl",
+                     "predictions_test_vanilla.jsonl", "predictions_test_kg.jsonl"):
+            served, in_process = (Path(c.output_dir, name).read_bytes() for c in (cfg, inline))
+            assert served == in_process, (workers, name)
 
 
 @pytest.mark.parametrize("reply, error", [
@@ -374,6 +427,44 @@ def test_failed_embeddings_request_fails_only_its_question(tmp_path, corpus_path
     assert "503" in entry["error"]
     clean_lines.pop(2)
     assert lines == clean_lines
+
+
+def test_failed_extraction_request_fails_only_its_chunk(tmp_path, corpus_path, corpus_docs,
+                                                        monkeypatch):
+    clean = _config(tmp_path, corpus_path, subdir="clean")
+    pl.cmd_ingest(clean)
+    pl.cmd_extract(clean)
+
+    cfg = _config(tmp_path, corpus_path)
+    cfg.chat.max_retries = 0
+    pl.cmd_ingest(cfg)
+    failed = corpus_docs[1]
+    monkeypatch.setattr(pl, "MockChatTransport", _failing_for(failed.pre_text[0]))
+    counts = pl.cmd_extract(cfg)
+    # the failing document is in both splits: one failed request for each
+    assert counts == {"triplets": {"train": 10, "test": 10}, "n_errors": 2}
+
+    lines = pl.triplets_path(cfg, "test").read_text(encoding="utf-8").splitlines()
+    clean_lines = pl.triplets_path(clean, "test").read_text(encoding="utf-8").splitlines()
+    assert lines == [l for l in clean_lines if json.loads(l)["source_doc"] != failed.id]
+    rejected = [json.loads(l) for l in
+                pl.rejected_path(cfg, "test").read_text(encoding="utf-8").splitlines()]
+    assert [(r["doc_id"], r["violations"]) for r in rejected] == \
+        [(failed.id, ["LlmUnavailable"])]
+    assert rejected[0]["fragment"].startswith(failed.pre_text[0])
+
+
+def test_cli_extract_exits_1_when_a_request_failed(tmp_path, corpus_path, corpus_docs,
+                                                   capsys, monkeypatch):
+    config = str(_write_cli_config(tmp_path, corpus_path))
+    assert cli.main(["ingest", "--config", config]) == 0
+    monkeypatch.setattr(pl, "MockChatTransport", _failing_for(corpus_docs[0].pre_text[0]))
+    capsys.readouterr()
+    assert cli.main(["extract", "--config", config,
+                     "--set", "providers.chat.max_retries=0"]) == 1
+    assert json.loads(capsys.readouterr().out)["n_errors"] == 2
+    for name in ("triplets_test.jsonl", "rejected_test.jsonl"):
+        assert (tmp_path / "out" / name).exists()
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +588,7 @@ def test_table_backend_runs_without_chat_provider(tmp_path, corpus_path):
     cfg.extraction_backend = "table"
     pl.cmd_ingest(cfg)
     counts = pl.cmd_extract(cfg)
-    assert counts["test"] == 12
+    assert counts == {"triplets": {"train": 12, "test": 12}, "n_errors": 0}
 
 
 # ---------------------------------------------------------------------------
