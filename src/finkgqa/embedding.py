@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import sys
 
 import numpy as np
 
@@ -38,44 +39,54 @@ def _unit_rows(V: np.ndarray) -> np.ndarray:
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
-def _hash_token(token: str, dim: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Buckets and signs of the word token and of each of its character trigrams."""
-    buckets, signs = [], []
-    for feat in [token] + [token[i:i + 3] for i in range(len(token) - 2)]:
-        digest = hashlib.blake2b(feat.encode("utf-8"), digest_size=8).digest()
-        buckets.append(int.from_bytes(digest[:4], "little") % dim)
-        signs.append(1.0 if digest[4] & 1 else -1.0)
-    return tuple(buckets), tuple(signs)
+def _pack_piece(piece: str, dim: int, width: int, features: dict[str, bytes]) -> bytes:
+    """Packed feature codes of the tokens in one lowercased, whitespace-free piece.
+
+    A feature (a word token or one of its character trigrams) hashes to a
+    bucket b and a sign: code b for +1, dim + b for -1, packed into `width`
+    bytes in native byte order. `features` memoises each feature's code.
+    """
+    packed = []
+    for token in _TOKEN_RE.findall(piece):
+        for feat in [token] + [token[i:i + 3] for i in range(len(token) - 2)]:
+            code = features.get(feat)
+            if code is None:
+                digest = hashlib.blake2b(feat.encode("utf-8"), digest_size=8).digest()
+                bucket = int.from_bytes(digest[:4], "little") % dim
+                code = features[feat] = (bucket if digest[4] & 1 else dim + bucket) \
+                    .to_bytes(width, sys.byteorder)
+            packed.append(code)
+    return b"".join(packed)
 
 
-def _hashed_bags(texts: list[str], dim: int, memo: dict) -> np.ndarray:
+def _hashed_bags(texts: list[str], dim: int, pieces: dict[str, bytes],
+                 features: dict[str, bytes]) -> np.ndarray:
     """Unit-norm signed bags of the texts' hashed features, one row per text.
 
-    `memo` maps token -> (buckets, signs). Every entry is an integer sum of
-    +/-1, exact in float64, so the order-free bincount and the sum of squares
-    behind each norm give the same bits as accumulating one feature at a time.
+    Tokens never cross whitespace, and lowercasing maps one character at a
+    time (only the final sigma looks at its neighbours, and no sigma is
+    ASCII), so a text's tokens are those of its lowercased whitespace-separated
+    pieces, in order. `pieces` memoises each piece's packed codes, and
+    `features` each feature's code. Each bag entry is a count of +1 codes
+    minus a count of -1 codes: an integer, as the sum of +/-1 one feature at
+    a time would give, so the rows and the norms have the same bits.
     """
     if dim < 16:
         raise ValueError(f"dim {dim} too small (min 16)")
-    buckets: list[int] = []
-    signs: list[float] = []
-    lengths = []
+    dtype = np.dtype(np.uint16 if 2 * dim <= 1 << 16 else np.uint32)  # codes < 2·dim
+    packed = []
     for text in texts:
-        tokens = _TOKEN_RE.findall(text.lower())
-        if not tokens:
+        codes = b"".join([pieces[p] if p in pieces else
+                          pieces.setdefault(p, _pack_piece(p, dim, dtype.itemsize, features))
+                          for p in text.lower().split()])
+        if not codes:
             raise EmptyText(f"no tokens in {text!r}")
-        before = len(buckets)
-        for tok in tokens:
-            hashed = memo.get(tok)
-            if hashed is None:
-                hashed = memo[tok] = _hash_token(tok, dim)
-            buckets += hashed[0]
-            signs += hashed[1]
-        lengths.append(len(buckets) - before)
+        packed.append(codes)
     n = len(texts)
-    rows = np.repeat(np.arange(n), lengths)
-    V = np.bincount(rows * dim + np.asarray(buckets, dtype=np.intp),
-                    weights=signs, minlength=n * dim).reshape(n, dim)
+    rows = np.repeat(np.arange(n), [len(codes) // dtype.itemsize for codes in packed])
+    counts = np.bincount(rows * 2 * dim + np.frombuffer(b"".join(packed), dtype=dtype),
+                         minlength=n * 2 * dim).reshape(n, 2, dim)
+    V = np.subtract(counts[:, 0], counts[:, 1], dtype=np.float64)
     return _unit_rows(V)  # signed hashing can cancel a text to zero
 
 
@@ -84,21 +95,25 @@ class LocalHashEmbedder:
     a signed bag, one unit vector of `dim` entries per text.
 
     A pure function of (text, dim): word order never matters, token counts do.
-    Token hashes are memoised per instance: metric, relation, unit and year
-    tokens recur in nearly every triplet text. Concurrent writes to the memo
-    store the same value under a key, so threads share it without a lock.
+    Each whitespace-separated piece of a text is memoised per instance as its
+    packed feature codes, and each word or trigram feature as its code:
+    metric, relation, unit and year pieces recur in nearly every triplet
+    text, and a new piece (a value, say) mostly holds known trigrams.
+    Concurrent writes to the memos store the same value under a key, so
+    threads share them without a lock.
     """
 
     def __init__(self, dim: int = DEFAULT_DIM):
         self.dim = dim
-        self._memo: dict[str, tuple[tuple[int, ...], tuple[float, ...]]] = {}
+        self._pieces: dict[str, bytes] = {}
+        self._features: dict[str, bytes] = {}
 
     def embed(self, text: str) -> np.ndarray:
-        return _hashed_bags([text], self.dim, self._memo)[0]
+        return _hashed_bags([text], self.dim, self._pieces, self._features)[0]
 
     def embed_many(self, texts: list[str]) -> np.ndarray:
         """Rows equal to `embed(text)`, for every text in one pass."""
-        return _hashed_bags(texts, self.dim, self._memo)
+        return _hashed_bags(texts, self.dim, self._pieces, self._features)
 
 
 class RemoteEmbedder(ProviderClient):

@@ -356,18 +356,10 @@ def validate_triplet(t: Triplet) -> list[str]:
 
 
 def triplet_from_dict(d: dict) -> Triplet:
-    return Triplet(
-        subject=d["subject"],
-        relation=d["relation"],
-        object=d["object"],
-        metric_type=d["metric_type"],
-        company=d.get("company") or None,
-        period=period_from_string(d["period"]),
-        value=Decimal(d["value"]),
-        unit=d.get("unit", ""),
-        source_doc=d.get("source_doc", ""),
-        triplet_id=d["triplet_id"],
-    )
+    return Triplet(d["subject"], d["relation"], d["object"], d["metric_type"],
+                   d.get("company") or None, period_from_string(d["period"]),
+                   Decimal(d["value"]), d.get("unit", ""), d.get("source_doc", ""),
+                   d["triplet_id"])
 
 
 _STORE_LINE = ('{"subject": %s, "relation": %s, "object": %s, "metric_type": %s, '
@@ -391,14 +383,39 @@ def serialize_triplets(triplets: list[Triplet]) -> str:
         for t in triplets])
 
 
+# Lines per json.loads in parse_triplets_file: one call per block saves the
+# per-call overhead, and a small block keeps little decoded text alive at once.
+_PARSE_BLOCK = 64
+# What a malformed line raises: bad JSON (a ValueError), a value that is not
+# an object (TypeError), a missing key, or a bad period or value.
+_BAD_LINE = (KeyError, TypeError, ValueError, InvalidOperation)
+
+
 def parse_triplets_file(text: str) -> list[Triplet]:
-    """Inverse of serialize_triplets; raises TripletParseError with line number."""
-    triplets = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    """Inverse of serialize_triplets; raises TripletParseError with line number.
+
+    Each block of _PARSE_BLOCK lines is decoded as one JSON array of its
+    non-blank lines. A block that fails, or that does not decode to one value
+    per non-blank line (a line holding two objects does not), is parsed again
+    line by line, which raises at its first bad line.
+    """
+    lines = text.splitlines()
+    triplets: list[Triplet] = []
+    for start in range(0, len(lines), _PARSE_BLOCK):
+        block = lines[start:start + _PARSE_BLOCK]
+        filled = [line for line in block if line.strip()]
         try:
-            triplets.append(triplet_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, ValueError, InvalidOperation) as exc:
-            raise TripletParseError(line_no, str(exc)) from exc
+            dicts = json.loads("[" + ",".join(filled) + "]")
+            if len(dicts) == len(filled):
+                triplets += [triplet_from_dict(d) for d in dicts]
+                continue
+        except _BAD_LINE:
+            pass
+        for line_no, line in enumerate(block, start=start + 1):
+            if not line.strip():
+                continue
+            try:
+                triplets.append(triplet_from_dict(json.loads(line)))
+            except _BAD_LINE as exc:
+                raise TripletParseError(line_no, str(exc)) from exc
     return triplets

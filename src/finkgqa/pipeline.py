@@ -249,10 +249,11 @@ def cmd_ingest(cfg: PipelineConfig) -> dict[str, int]:
         docs = _load_documents(cfg, split)
         lines = []
         for doc in docs:
+            sentences = linearize_table(doc.table)
             lines.append(json.dumps({
                 "id": doc.id,
-                "text": assemble_text(doc),
-                "n_table_sentences": len(linearize_table(doc.table)),
+                "text": assemble_text(doc, sentences),
+                "n_table_sentences": len(sentences),
             }))
         write_atomic(documents_path(cfg, split), "".join(l + "\n" for l in lines))
         counts[split] = len(docs)
@@ -326,6 +327,7 @@ def cmd_train_retriever(cfg: PipelineConfig) -> dict:
                                     "label": label})
                         for t, label in zip(doc_triplets, doc_labels))
 
+    del embedder  # its memos serve featurisation only; free them before training
     y = np.asarray(labels, dtype=np.float64)
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos

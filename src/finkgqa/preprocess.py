@@ -196,13 +196,16 @@ def context_years(table: Table) -> list[int]:
     return sorted(years)
 
 
-def assemble_text(doc: FinDocument) -> str:
+def assemble_text(doc: FinDocument, table_sentences: list[str] | None = None) -> str:
     """Concatenate pre-text, linearized table sentences, and post-text.
 
     Single spaces between sentences, Unicode NFC, internal whitespace
-    collapsed. Numerals are never altered.
+    collapsed. Numerals are never altered. `table_sentences` is
+    `linearize_table(doc.table)`, when the caller already has it.
     """
-    parts = list(doc.pre_text) + linearize_table(doc.table) + list(doc.post_text)
+    if table_sentences is None:
+        table_sentences = linearize_table(doc.table)
+    parts = list(doc.pre_text) + table_sentences + list(doc.post_text)
     text = " ".join(p.strip() for p in parts if p.strip())
     text = unicodedata.normalize("NFC", text)
     # str.split() and the regex class \s agree on all 29 whitespace code points.

@@ -4,12 +4,18 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from finkgqa.llm_client import ChatClient, MockChatTransport, ProviderConfig
 from finkgqa.preprocess import load_split
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "fin_sample.json"
+
+# `pytest --hypothesis-profile ci` runs every property test on ten times the
+# default examples; CI's embedder step uses it. No deadline: a slow runner
+# must not fail an example that is only slow.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

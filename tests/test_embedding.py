@@ -1,4 +1,5 @@
 import hashlib
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -18,7 +19,7 @@ from finkgqa.retriever import build_features
 
 
 def fresh_embed(text: str, dim: int = 256) -> np.ndarray:
-    """The local embedding of `text` from an embedder with an empty token memo."""
+    """The local embedding of `text` from an embedder with an empty piece memo."""
     return LocalHashEmbedder(dim).embed(text)
 
 
@@ -90,9 +91,7 @@ def test_cosine_dimension_mismatch():
 
 def _reference_embedding(text: str, dim: int) -> np.ndarray:
     """Independent reimplementation: accumulate into a dict, then vectorize."""
-    import re as _re
-
-    words = _re.findall(r"[a-z0-9]+", text.lower())
+    words = re.findall(r"[a-z0-9]+", text.lower())
     counts: dict[int, float] = {}
     feats = []
     for w in words:
@@ -121,12 +120,37 @@ texts = st.text(alphabet="abcdefg 0123456789", min_size=1, max_size=30).filter(
 CANCELLING = "c 7"
 
 
-@example("net revenue of Entergy was 5829 million USD in 2015", 256)
-@example(CANCELLING, 16)
-@given(texts, st.sampled_from([16, 64, 256]))
-def test_matches_independent_reimplementation(text, dim):
-    assert fresh_embed(text, dim=dim).tobytes() == \
-        _reference_embedding(text, dim).tobytes()
+# Whitespace-separated pieces plus the characters whose lowercasing needs
+# care: U+212A KELVIN SIGN and U+0130 lowercase to ASCII ("k", "i" + U+0307),
+# and a capital sigma lowercases by context (a final sigma at a word's end).
+# The separators include tab, newline and the Unicode spaces U+00A0, U+2003
+# and U+3000.
+unicode_texts = st.text(
+    alphabet=st.sampled_from(list("abcK07 -_:") + ["\u212a", "\u0130", "\u03a3",
+                                                      "\t", "\n", "\u00a0", "\u2003",
+                                                      "\u3000"]),
+    min_size=1, max_size=30).filter(lambda s: re.search(r"[a-z0-9]", s.lower()))
+
+
+@example(["net revenue of Entergy was 5829 million USD in 2015"], 256)
+@example([CANCELLING], 16)
+@example(["\u212aelvin \u0130stanbul \u0130\u0130 ab\u03a3 \u03a3\u03a3x k\u03a3k",
+          "NET_REVENUE\u00a0HAS_VALUE\u2003in\u30002015\tk\nk"], 64)
+@example(["NET_REVENUE HAS_VALUE_IN_2015 5829 million USD"] * 2, 1 << 15)  # widest 2-byte codes
+# At dim 2^15 + 1 the word "at25" has bucket 2^15 - 1 and sign -1: code 2^16,
+# the first that needs four bytes.
+@example(["at25 NET_REVENUE HAS_VALUE_IN_2015 5829 million USD"], (1 << 15) + 1)
+@given(st.lists(st.one_of(texts, unicode_texts), min_size=1, max_size=6),
+       st.sampled_from([16, 64, 256]))
+def test_matches_independent_reimplementation(batch, dim):
+    expected = [_reference_embedding(text, dim).tobytes() for text in batch]
+    assert [fresh_embed(text, dim=dim).tobytes() for text in batch] == expected
+    embedder = LocalHashEmbedder(dim)
+    # One batch in which every piece recurs, then the memo those calls warmed.
+    rows = embedder.embed_many(batch + batch[::-1])
+    assert [row.tobytes() for row in rows] == expected + expected[::-1]
+    assert [embedder.embed(text).tobytes() for text in batch] == expected
+    assert [row.tobytes() for row in embedder.embed_many(batch)] == expected
 
 
 def test_cancelling_text_pins_first_axis():
@@ -251,7 +275,7 @@ _TEXTS = ["NET_REVENUE HAS_VALUE_IN_2015 5829 million USD",
 @given(st.lists(texts, min_size=1, max_size=8))
 def test_local_embedder_bitwise_equals_fallback(batch):
     embedder = LocalHashEmbedder(dim=64)
-    for text in batch + batch:  # the second pass is served from the token memo
+    for text in batch + batch:  # the second pass is served from the piece memo
         assert embedder.embed(text).tobytes() == fresh_embed(text, dim=64).tobytes()
 
 

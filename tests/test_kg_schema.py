@@ -22,6 +22,7 @@ from finkgqa.kg_schema import (
     relation_for_period,
     render_decimal,
     serialize_triplets,
+    triplet_from_dict,
     triplet_id_for,
     validate_triplet,
 )
@@ -241,11 +242,63 @@ def test_entergy_round_trip():
     assert parse_triplets_file(line) == [t]
 
 
+def _store(n: int) -> str:
+    """A store of n valid lines."""
+    return serialize_triplets([
+        make_triplet("NET_REVENUE", Decimal(i), "million USD", company="Entergy",
+                     period=Period(PeriodKind.ANNUAL, 2000 + i % 20), source_doc="doc-1")
+        for i in range(n)])
+
+
 def test_parse_error_carries_line_number():
     good = serialize_triplets([entergy_triplet()])
     with pytest.raises(TripletParseError) as err:
         parse_triplets_file(good + "{broken\n")
     assert err.value.line_no == 2
+
+
+_GOOD = serialize_triplets([entergy_triplet()])
+_TWO_ON_ONE_LINE = _GOOD.rstrip("\n") + ", " + _GOOD
+
+
+@pytest.mark.parametrize("text,line_no", [
+    (_store(63) + "{broken\n" + _store(3), 64),
+    (_store(64) + "{broken\n" + _store(3), 65),
+    (_store(150) + "{broken\n" + _store(3), 151),
+    (_store(100) + "\n  \n\n" + "{broken\n" + _store(3), 104),
+    (_GOOD + _TWO_ON_ONE_LINE, 2),
+    (_store(70) + _TWO_ON_ONE_LINE + _store(3), 71),
+    (_store(70) + '{"subject": "S"}\n' + _store(3), 71),
+    (_store(70) + _GOOD.replace('"value": "5829"', '"value": "x"'), 71),
+    (_store(70) + "[1, 2]\n" + _store(3), 71),
+    ("null\n", 1),
+], ids=["last-of-first-block", "first-of-second-block", "third-block",
+        "blank-lines-count", "two-objects", "two-objects-later-block", "missing-key",
+        "bad-value", "array", "null"])
+def test_parse_error_names_the_line_in_any_block(text, line_no):
+    with pytest.raises(TripletParseError) as err:
+        parse_triplets_file(text)
+    assert err.value.line_no == line_no
+
+
+def test_bench_shaped_store_round_trips():
+    # 40 documents of 8 year rows by 12 columns plus a `thereafter` row: the
+    # kg-warm-wide store's shape, with negative, fractional and percent values.
+    columns = [(f"METRIC_{c}", "percent" if c >= 9 else "million USD") for c in range(12)]
+    ts = []
+    for d in range(40):
+        company = None if d % 3 else f"Company {d}"
+        periods = [Period(PeriodKind.ANNUAL, 2010 + y) for y in range(8)] + [UNKNOWN_PERIOD]
+        for y, period in enumerate(periods):
+            for c, (metric, unit) in enumerate(columns):
+                value = Decimal(d * 1000 + y * 37 - c * 113) / (10 if unit == "percent" else 1)
+                ts.append(make_triplet(metric, value, unit, company=company, period=period,
+                                       source_doc=f"doc-{d:03d}"))
+    text = serialize_triplets(ts)
+    back = parse_triplets_file(text)
+    assert back == ts
+    assert back == [triplet_from_dict(json.loads(line)) for line in text.splitlines()]
+    assert serialize_triplets(back) == text
 
 
 metrics = st.from_regex(r"[A-Z][A-Z0-9_]{0,12}", fullmatch=True)

@@ -49,6 +49,28 @@ def test_ingest_output_shape(tmp_path, corpus_path):
     assert first["n_table_sentences"] == 4
 
 
+def test_ingest_linearizes_each_table_once(tmp_path, corpus_path, monkeypatch):
+    from finkgqa import preprocess
+
+    cfg = _config(tmp_path, corpus_path)
+    pl.cmd_ingest(cfg)
+    before = {split: pl.documents_path(cfg, split).read_bytes() for split in ("train", "test")}
+    calls = []
+
+    def counting(table):
+        calls.append(table)
+        return linearize(table)
+
+    linearize = preprocess.linearize_table
+    # assemble_text resolves the name in preprocess, cmd_ingest in pipeline.
+    monkeypatch.setattr(preprocess, "linearize_table", counting)
+    monkeypatch.setattr(pl, "linearize_table", counting)
+    pl.cmd_ingest(cfg)
+    assert len(calls) == 10  # 5 documents in each of the two splits
+    assert {split: pl.documents_path(cfg, split).read_bytes()
+            for split in ("train", "test")} == before
+
+
 def test_full_run_emits_all_artifacts(tmp_path, corpus_path):
     cfg = _config(tmp_path, corpus_path)
     summaries = _run_all(cfg)
