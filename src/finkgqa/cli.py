@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir")
         p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("ingest", help="parse splits and write assembled documents")
+    p = sub.add_parser("ingest", help="parse splits into the document store")
     common(p)
 
     p = sub.add_parser("extract", help="extract triplets into the store")

@@ -23,7 +23,8 @@ from .extraction import DocumentExtractor
 from .kg_schema import parse_triplets_file, serialize_triplets
 from .llm_client import (ChatClient, LlmTruncated, LlmUnavailable, MockChatTransport,
                          ProviderConfig, ResponseCache, write_atomic)
-from .preprocess import FinDocument, assemble_text, linearize_table, load_split
+from .preprocess import (FinDocument, assemble_text, document_record, load_split,
+                         parse_record)
 
 logger = logging.getLogger(__name__)
 
@@ -213,10 +214,8 @@ def _configured_splits(cfg: PipelineConfig) -> list[str]:
 
 
 def _load_documents(cfg: PipelineConfig, split: str) -> list[FinDocument]:
-    path = cfg.data.get(split)
-    if not path or not Path(path).exists():
-        raise MissingArtifact(f"dataset file for split {split!r} not found at {path!r}")
-    return load_split(path)
+    with open(_require(documents_path(cfg, split), "ingest"), encoding="utf-8") as f:
+        return [parse_record(line) for line in f]
 
 
 def _require(path: Path, producer: str) -> Path:
@@ -243,19 +242,15 @@ def _map_requests(fn, items: list, provider: ProviderConfig | None,
 
 
 def cmd_ingest(cfg: PipelineConfig) -> dict[str, int]:
-    """Parse every configured split and write assembled document text."""
+    """Parse every configured split into the document store every later stage reads."""
     counts = {}
     for split in _configured_splits(cfg):
-        docs = _load_documents(cfg, split)
-        lines = []
-        for doc in docs:
-            sentences = linearize_table(doc.table)
-            lines.append(json.dumps({
-                "id": doc.id,
-                "text": assemble_text(doc, sentences),
-                "n_table_sentences": len(sentences),
-            }))
-        write_atomic(documents_path(cfg, split), "".join(l + "\n" for l in lines))
+        path = cfg.data[split]
+        if not Path(path).exists():
+            raise MissingArtifact(f"dataset file for split {split!r} not found at {path!r}")
+        docs = load_split(path)
+        write_atomic(documents_path(cfg, split),
+                     "".join(json.dumps(document_record(doc)) + "\n" for doc in docs))
         counts[split] = len(docs)
         logger.info("ingested %d documents for split %s", len(docs), split)
     return counts
@@ -269,7 +264,6 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
     """
     counts, n_errors = {}, 0
     for split in _configured_splits(cfg):
-        _require(documents_path(cfg, split), "ingest")
         docs = _load_documents(cfg, split)
         if cfg.extraction_backend == "table":
             per_doc = [extraction.extract_table_triplets(doc) for doc in docs]
@@ -354,8 +348,8 @@ def cmd_answer(cfg: PipelineConfig, split: str, mode: str) -> dict[str, int]:
     """
     if mode not in ("vanilla", "kg"):
         raise ValueError(f"mode must be vanilla or kg, got {mode!r}")
+    client = build_chat_client(cfg.chat, cfg.cache_dir)  # a bad setting fails first
     docs = _load_documents(cfg, split)
-    client = build_chat_client(cfg.chat, cfg.cache_dir)
     embedder = None
     if mode == "kg":
         store = _require(triplets_path(cfg, split), "extract")

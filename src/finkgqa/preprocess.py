@@ -1,4 +1,5 @@
-"""Load FinQA-format records and flatten each document into one text stream.
+"""Load FinQA-format records, write them back normalized, and flatten each
+document into one text stream.
 
 Tables are linearized with a fixed sentence template so that narrative text
 and table cells can be processed uniformly downstream.
@@ -67,9 +68,7 @@ def _as_sentences(value) -> tuple[str, ...]:
 
 def _gold_inds_list(raw) -> tuple[str, ...]:
     # FinQA ships gold_inds as a key->sentence mapping; a plain list also works.
-    if isinstance(raw, dict):
-        return tuple(str(v) for v in raw.values())
-    return _as_sentences(raw)
+    return _as_sentences(list(raw.values()) if isinstance(raw, dict) else raw)
 
 
 def _build_table(raw_table, doc_id: str) -> Table:
@@ -120,7 +119,7 @@ def parse_record(raw_json: str | dict) -> FinDocument:
     if not answer:
         if exe_ans is None:
             raise MalformedRecord(f"record {doc_id} has no gold answer")
-        answer = str(exe_raw)
+        answer = str(exe_raw).strip()
 
     question = QuestionRecord(
         text=question_text,
@@ -138,6 +137,16 @@ def parse_record(raw_json: str | dict) -> FinDocument:
 
     return FinDocument(id=doc_id, pre_text=pre_text, post_text=post_text,
                        table=table, question=question)
+
+
+def document_record(doc: FinDocument) -> dict:
+    """`doc` as a normalized FinQA record: `parse_record` reads it back to `doc`."""
+    q, table = doc.question, doc.table
+    exe_ans = None if q.gold_exe_answer is None else str(q.gold_exe_answer)
+    return {"id": doc.id, "pre_text": doc.pre_text, "post_text": doc.post_text,
+            "table": [table.header, *table.rows] if table != Table() else [],
+            "qa": {"question": q.text, "answer": q.gold_answer, "exe_ans": exe_ans,
+                   "program": q.gold_program, "gold_inds": q.gold_inds}}
 
 
 def load_split(path: str | Path) -> list[FinDocument]:
@@ -196,16 +205,13 @@ def context_years(table: Table) -> list[int]:
     return sorted(years)
 
 
-def assemble_text(doc: FinDocument, table_sentences: list[str] | None = None) -> str:
+def assemble_text(doc: FinDocument) -> str:
     """Concatenate pre-text, linearized table sentences, and post-text.
 
     Single spaces between sentences, Unicode NFC, internal whitespace
-    collapsed. Numerals are never altered. `table_sentences` is
-    `linearize_table(doc.table)`, when the caller already has it.
+    collapsed. Numerals are never altered.
     """
-    if table_sentences is None:
-        table_sentences = linearize_table(doc.table)
-    parts = list(doc.pre_text) + table_sentences + list(doc.post_text)
+    parts = list(doc.pre_text) + linearize_table(doc.table) + list(doc.post_text)
     text = " ".join(p.strip() for p in parts if p.strip())
     text = unicodedata.normalize("NFC", text)
     # str.split() and the regex class \s agree on all 29 whitespace code points.

@@ -6,6 +6,7 @@ import pytest
 
 from finkgqa import cli, pipeline as pl
 from finkgqa.llm_client import chat_response
+from finkgqa.preprocess import load_split, parse_record
 
 
 def _config(tmp_path: Path, corpus: Path, scramble: bool = False,
@@ -42,14 +43,15 @@ def test_ingest_output_shape(tmp_path, corpus_path):
     cfg = _config(tmp_path, corpus_path)
     counts = pl.cmd_ingest(cfg)
     assert counts == {"train": 5, "test": 5}
-    lines = Path(pl.documents_path(cfg, "test")).read_text().splitlines()
-    assert len(lines) == 5
-    first = json.loads(lines[0])
-    assert set(first) == {"id", "text", "n_table_sentences"}
-    assert first["n_table_sentences"] == 4
+    lines = pl.documents_path(cfg, "test").read_text(encoding="utf-8").splitlines()
+    assert [parse_record(line) for line in lines] == load_split(corpus_path)
+    for line in lines:
+        record = json.loads(line)
+        assert set(record) == {"id", "pre_text", "post_text", "table", "qa"}
+        assert set(record["qa"]) == {"question", "answer", "exe_ans", "program", "gold_inds"}
 
 
-def test_ingest_linearizes_each_table_once(tmp_path, corpus_path, monkeypatch):
+def test_ingest_linearizes_no_table(tmp_path, corpus_path, monkeypatch):
     from finkgqa import preprocess
 
     cfg = _config(tmp_path, corpus_path)
@@ -62,13 +64,28 @@ def test_ingest_linearizes_each_table_once(tmp_path, corpus_path, monkeypatch):
         return linearize(table)
 
     linearize = preprocess.linearize_table
-    # assemble_text resolves the name in preprocess, cmd_ingest in pipeline.
     monkeypatch.setattr(preprocess, "linearize_table", counting)
-    monkeypatch.setattr(pl, "linearize_table", counting)
     pl.cmd_ingest(cfg)
-    assert len(calls) == 10  # 5 documents in each of the two splits
+    assert calls == []  # the store keeps each table; extract and vanilla answer linearize it
     assert {split: pl.documents_path(cfg, split).read_bytes()
             for split in ("train", "test")} == before
+
+
+def test_later_stages_never_read_the_raw_split(tmp_path, corpus_path):
+    """After `ingest`, the chain runs from the output directory alone."""
+    reference = _config(tmp_path, corpus_path, subdir="reference")
+    _run_all(reference)
+    cfg = _config(tmp_path, corpus_path)
+    pl.cmd_ingest(cfg)
+    cfg.data = {split: str(tmp_path / "moved.json") for split in cfg.data}  # no such file
+    pl.cmd_extract(cfg)
+    pl.cmd_train_retriever(cfg)
+    pl.cmd_answer(cfg, "test", "vanilla")
+    pl.cmd_answer(cfg, "test", "kg")
+    vanilla = pl.cmd_evaluate(cfg, "test", "vanilla")
+    kg = pl.cmd_evaluate(cfg, "test", "kg")
+    pl.cmd_report(cfg, vanilla["accuracy_pct"], kg["accuracy_pct"])
+    assert _output_digests(cfg) == _output_digests(reference)
 
 
 def test_full_run_emits_all_artifacts(tmp_path, corpus_path):
@@ -185,6 +202,10 @@ def test_kg_predictions_record_provenance(tmp_path, corpus_path):
 
 
 def test_missing_artifacts_name_producer(tmp_path, corpus_path):
+    moved = _config(tmp_path, corpus_path, subdir="moved")
+    moved.data["test"] = str(tmp_path / "moved.json")  # no such file
+    with pytest.raises(pl.MissingArtifact, match="split 'test' not found"):
+        pl.cmd_ingest(moved)
     cfg = _config(tmp_path, corpus_path)
     with pytest.raises(pl.MissingArtifact, match="ingest"):
         pl.cmd_extract(cfg)
@@ -314,10 +335,10 @@ def test_scoring_runs_on_the_calling_thread_and_requests_in_the_pool(
     pl.cmd_train_retriever(cfg)
     pl.cmd_answer(cfg, "test", "kg")
     pl.cmd_answer(cfg, "test", "vanilla")
-    # 10 extraction requests (train and test) and 10 answers; ingest assembles
-    # 10 documents' text and vanilla answering 5; all on the caller
+    # 10 extraction requests (train and test) and 10 answers; only vanilla
+    # answering assembles text, for its 5 documents; all on the caller
     assert len(threads["complete"]) == 20
-    assert (len(threads["filter_topk"]), len(threads["assemble_text"])) == (5, 15)
+    assert (len(threads["filter_topk"]), len(threads["assemble_text"])) == (5, 5)
     assert set(threads["complete"]) == set(threads["filter_topk"]) \
         == set(threads["assemble_text"]) == {caller}
     assert pools == []
@@ -334,7 +355,7 @@ def test_scoring_runs_on_the_calling_thread_and_requests_in_the_pool(
     pl.cmd_answer(cfg, "test", "vanilla")
     assert len(threads["complete"]) == 20
     assert caller not in threads["complete"]
-    assert (len(threads["filter_topk"]), len(threads["assemble_text"])) == (5, 15)
+    assert (len(threads["filter_topk"]), len(threads["assemble_text"])) == (5, 5)
     assert set(threads["filter_topk"]) == set(threads["assemble_text"]) == {caller}
     # one pool per split for extract, and one for each answer's chat requests
     assert pools == [{"max_workers": 4}] * 4

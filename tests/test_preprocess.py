@@ -2,7 +2,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, reject, strategies as st
 
 from finkgqa.preprocess import (
     FinDocument,
@@ -10,6 +10,7 @@ from finkgqa.preprocess import (
     Table,
     assemble_text,
     context_years,
+    document_record,
     linearize_table,
     load_split,
     parse_record,
@@ -57,6 +58,66 @@ def test_gold_inds_accepts_list_and_dict():
                                                       "gold_inds": {"text_0": "s1", "table_1": "s2"}}}))
     assert as_list.question.gold_inds == ("s1", "s2")
     assert as_dict.question.gold_inds == ("s1", "s2")
+    # a blank entry is dropped from either shape
+    with_blank = parse_record(json.dumps({**base, "qa": {**base["qa"],
+                                                         "gold_inds": {"x": "s1", "y": "  "}}}))
+    assert with_blank.question.gold_inds == ("s1",)
+
+
+_text = st.text(max_size=12)  # any code point but a surrogate, blank included
+_cell = st.one_of(_text, st.integers(-10**9, 10**9),
+                  st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def raw_records(draw):
+    """FinQA-shaped records with the variations `parse_record` normalizes."""
+    width = draw(st.integers(0, 4))
+    header = draw(st.lists(_cell, min_size=width, max_size=width))
+    rows = draw(st.lists(st.lists(_cell, max_size=width + 2), max_size=4))  # short and long
+    gold_inds = draw(st.one_of(st.none(), _text, st.lists(_text, max_size=3),
+                               st.dictionaries(_text, _text, max_size=3)))
+    return {
+        "id": draw(_text) + "d",
+        "pre_text": draw(st.one_of(_text, st.lists(_text, max_size=3))),
+        "post_text": draw(st.one_of(st.none(), st.lists(_text, max_size=3))),
+        "table": [header, *rows] if draw(st.booleans()) else [],
+        "qa": {
+            "question": draw(_text) + "?",
+            "answer": draw(st.one_of(st.just(""), _text)),
+            "exe_ans": draw(st.one_of(st.none(), st.booleans(), st.integers(),
+                                      st.floats(allow_nan=False),
+                                      st.decimals(allow_nan=False).map(str),
+                                      # a NaN Decimal never equals another one
+                                      _text.filter(lambda t: "nan" not in t.lower()))),
+            "program": draw(st.one_of(st.none(), _text)),
+            "gold_inds": gold_inds,
+        },
+    }
+
+
+_RECORD = {"id": "r", "pre_text": "one sentence, not a list", "post_text": ["after"],
+           "table": [["Year", "Revenue", 2021], ["2020", 1.5], ["2021", 7, -3, "extra"]],
+           "qa": {"question": "q", "answer": "", "exe_ans": " 1.50 ", "program": "add(1, 2)",
+                  "gold_inds": {"table_1": "the revenue of 2020 is 1.5 .", "text_0": "  "}}}
+
+
+@given(raw_records())
+@example(_RECORD)  # string pre_text, short and long rows, numeric cells, exe_ans only
+@example({"id": "ü", "pre_text": ["Umsatz stieg um 5 % — 2021"], "table": [],
+          "qa": {"question": "wie viel?", "answer": "5 %", "exe_ans": 0.05,
+                 "gold_inds": ["Umsatz stieg um 5 % — 2021", " "]}})  # non-ASCII, no table
+def test_document_record_round_trips(record):
+    try:
+        doc = parse_record(record)
+    except MalformedRecord:
+        reject()
+    assert parse_record(json.loads(json.dumps(document_record(doc)))) == doc
+
+
+def test_document_record_round_trips_the_fixture(corpus_docs):
+    for doc in corpus_docs:
+        assert parse_record(json.dumps(document_record(doc))) == doc
 
 
 def test_table_arity_invariant():
