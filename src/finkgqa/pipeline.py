@@ -8,10 +8,13 @@ deterministic: identical inputs produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 import numpy as np
@@ -138,9 +141,20 @@ def apply_overrides(cfg: PipelineConfig, overrides: dict) -> None:
 # Providers
 
 def _mock_answer_key(path: str) -> dict[str, str]:
-    key = {}
     if not path:
-        return key
+        return {}
+    st = os.stat(path)
+    return _read_answer_key(path, st.st_mtime_ns, st.st_size)
+
+
+@functools.lru_cache(maxsize=4)
+def _read_answer_key(path: str, mtime_ns: int, size: int) -> dict[str, str]:
+    """The question -> answer key of a raw corpus file, read once per version.
+
+    The stat fields are part of the memo key, so a rewritten file is read
+    again. Every caller gets the same dict: `MockChatTransport` copies it.
+    """
+    key = {}
     for record in json.loads(Path(path).read_text(encoding="utf-8")):
         qa = record.get("qa") or {}
         question = str(qa.get("question") or "").strip()
@@ -295,6 +309,11 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
     return {"triplets": counts, "n_errors": n_errors}
 
 
+# One train_manifest.jsonl line from JSON-escaped fields: the bytes of
+# json.dumps({"doc_id", "triplet_id", "label"}) with default settings.
+_MANIFEST_LINE = '{"doc_id": %s, "triplet_id": %s, "label": %d}\n'
+
+
 def cmd_train_retriever(cfg: PipelineConfig) -> dict:
     """Label train-split triplets from gold supporting facts and fit the filter."""
     split = "train"
@@ -317,8 +336,8 @@ def cmd_train_retriever(cfg: PipelineConfig) -> dict:
         doc_labels = retriever.label_triplets(doc, doc_triplets)
         X.fill(j, retriever.build_features(doc.question, doc_triplets, embedder))
         labels.extend(doc_labels)
-        manifest.extend(json.dumps({"doc_id": doc.id, "triplet_id": t.triplet_id,
-                                    "label": label})
+        doc_id = _json_str(doc.id)
+        manifest.extend(_MANIFEST_LINE % (doc_id, _json_str(t.triplet_id), label)
                         for t, label in zip(doc_triplets, doc_labels))
 
     del embedder  # its memos serve featurisation only; free them before training
@@ -332,7 +351,7 @@ def cmd_train_retriever(cfg: PipelineConfig) -> dict:
     )
     model, history = retriever.train(X, y, train_cfg)
     retriever.save_model(model, model_path(cfg))
-    write_atomic(manifest_path(cfg), "".join(l + "\n" for l in manifest))
+    write_atomic(manifest_path(cfg), "".join(manifest))
     logger.info("trained retriever on %d pairs (%d positive); final loss %.4f",
                 len(y), n_pos, history[-1])
     return {"pairs": len(y), "positives": n_pos, "final_loss": history[-1]}

@@ -9,7 +9,10 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
+import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -355,29 +358,36 @@ def filter_topk(question: QuestionRecord, triplets: list[Triplet], model: MlpMod
 
 
 def save_model(model: MlpModel, path: str | Path) -> None:
-    doc = {
-        "input_dim": model.input_dim,
-        "hidden_size": model.hidden_size,
-        "seed": model.seed,
-        "W1": model.W1.tolist(),
-        "b1": model.b1.tolist(),
-        "W2": model.W2.tolist(),
-        "b2": model.b2,
-    }
+    """Write the model as one JSON object, W1, b1 and W2 each as base64 of its
+    little-endian float64 bytes in C order: bit-exact (NaN payloads included),
+    and no float is printed on save or parsed on load."""
+    doc = {"input_dim": model.input_dim, "hidden_size": model.hidden_size,
+           "seed": model.seed}
+    for name in ("W1", "b1", "W2"):
+        raw = np.asarray(getattr(model, name), dtype="<f8").tobytes()
+        doc[name] = base64.b64encode(raw).decode("ascii")
+    doc["b2"] = model.b2
     write_atomic(Path(path), json.dumps(doc))
 
 
 def load_model(path: str | Path) -> MlpModel:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    model = MlpModel(
-        W1=np.asarray(doc["W1"], dtype=np.float64),
-        b1=np.asarray(doc["b1"], dtype=np.float64),
-        W2=np.asarray(doc["W2"], dtype=np.float64),
-        b2=float(doc["b2"]),
-        seed=int(doc.get("seed", 0)),
-    )
-    if model.W1.shape != (doc["hidden_size"], doc["input_dim"]) \
-            or model.b1.shape != (doc["hidden_size"],) \
-            or model.W2.shape != (doc["hidden_size"],):
-        raise DimensionMismatch("model file dimensions are inconsistent")
-    return model
+    hidden, width = int(doc["hidden_size"]), int(doc["input_dim"])
+    arrays = {}
+    for name, shape in (("W1", (hidden, width)), ("b1", (hidden,)), ("W2", (hidden,))):
+        blob = doc[name]
+        if not isinstance(blob, str):
+            raise DimensionMismatch(
+                f"{name} in {Path(path).name} is not packed float64 (a model from an "
+                "older release); re-run `train-retriever`")
+        try:
+            raw = base64.b64decode(blob, validate=True)
+        except binascii.Error as exc:
+            raise DimensionMismatch(f"{name} in {Path(path).name} is not base64: {exc}") from None
+        n_bytes = 8 * math.prod(shape)
+        if len(raw) != n_bytes:
+            raise DimensionMismatch(f"{name} holds {len(raw)} bytes, not the "
+                                    f"{n_bytes} of shape {shape}")
+        # astype copies into a writable array of the native byte order
+        arrays[name] = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
+    return MlpModel(**arrays, b2=float(doc["b2"]), seed=int(doc.get("seed", 0)))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,49 @@ def test_train_manifest_shape(tmp_path, corpus_path):
         assert entry["label"] in (0, 1)
     labels = [json.loads(l)["label"] for l in lines]
     assert 0 < sum(labels) < len(labels)  # both classes present
+
+
+def test_train_manifest_escapes_as_json_dumps(tmp_path, corpus_path):
+    records = json.loads(corpus_path.read_text())
+    for record, doc_id in zip(records, ['q"uote', "back\\slash", "ctrl\x01\tid", "café 收入"]):
+        record["id"] = doc_id
+    corpus = tmp_path / "odd_ids.json"
+    corpus.write_text(json.dumps(records))
+    cfg = _config(tmp_path, corpus)
+    pl.cmd_ingest(cfg)
+    pl.cmd_extract(cfg)
+    pl.cmd_train_retriever(cfg)
+    text = Path(pl.manifest_path(cfg)).read_text(encoding="utf-8")
+    entries = [json.loads(line) for line in text.splitlines()]
+    assert text == "".join(json.dumps(e) + "\n" for e in entries)
+    assert {e["doc_id"] for e in entries} >= {r["id"] for r in records[:4]}
+
+
+def test_mock_answer_key_is_read_once_per_file_version(tmp_path, corpus_path, monkeypatch):
+    corpus = tmp_path / "key.json"
+    records = json.loads(corpus_path.read_text())
+    corpus.write_text(json.dumps(records))
+    reads = []
+    read_text = Path.read_text
+    monkeypatch.setattr(Path, "read_text",
+                        lambda self, *a, **k: reads.append(self) or read_text(self, *a, **k))
+    provider = pl.ProviderConfig(kind="mock", answer_key=str(corpus))
+    question = records[0]["qa"]["question"]
+    prompt = f"Question: {question}\nEnd with ANSWER: <value>"
+
+    def reply():
+        return pl.build_chat_client(provider, None).complete(prompt).splitlines()[-1]
+
+    assert reply() == reply() == "ANSWER: " + records[0]["qa"]["answer"]
+    assert reads.count(corpus) == 1
+    # A rewrite of the same size, as an edit to one digit would be; a later
+    # write gets a later modification time.
+    records[0]["qa"]["answer"] = "999"
+    corpus.write_text(json.dumps(records))
+    st = corpus.stat()
+    os.utime(corpus, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    assert reply() == "ANSWER: 999"
+    assert reads.count(corpus) == 2
 
 
 def test_rejected_fragments_persisted(tmp_path, corpus_path, answer_key):

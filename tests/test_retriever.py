@@ -1,3 +1,5 @@
+import base64
+import json
 import math
 import re
 from decimal import Decimal
@@ -673,6 +675,65 @@ def test_model_save_load_round_trip(tmp_path):
     assert np.array_equal(model.W2, loaded.W2)
     assert model.b2 == loaded.b2
     assert loaded.seed == 9
+
+
+# Bit patterns the model file must carry through unchanged: -0.0, +-inf, the
+# smallest and largest subnormals, and NaNs with payloads (quiet, signalling,
+# negative). A JSON float list keeps none of the payloads.
+_SPECIAL_BITS = [0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+                 0x0000000000000001, 0x000FFFFFFFFFFFFF, 0x7FF8000000000000,
+                 0x7FF8000000000123, 0x7FF0000000000001, 0xFFF4000000ABCDEF]
+_BITS = st.one_of(st.sampled_from(_SPECIAL_BITS), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 9), st.data())
+def test_model_file_round_trip_is_bit_exact(tmp_path_factory, hidden, width, data):
+    def draw(n):
+        return np.array(data.draw(st.lists(_BITS, min_size=n, max_size=n)),
+                        dtype=np.uint64).view(np.float64)
+
+    model = MlpModel(W1=draw(hidden * width).reshape(hidden, width), b1=draw(hidden),
+                     W2=draw(hidden), b2=-0.0, seed=3)
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    for name in ("W1", "b1", "W2"):
+        mine, back = getattr(model, name), getattr(loaded, name)
+        assert back.shape == mine.shape and back.dtype == np.float64
+        assert np.array_equal(back.view(np.uint64), mine.view(np.uint64)), name
+    assert math.copysign(1.0, loaded.b2) == -1.0 and loaded.seed == 3
+
+
+def _saved_model_doc(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(init_model(10, 4, seed=9), path)
+    return path, json.loads(path.read_text())
+
+
+def test_model_loader_refuses_a_list_format_file(tmp_path):
+    path, doc = _saved_model_doc(tmp_path)
+    model = init_model(10, 4, seed=9)
+    doc.update(W1=model.W1.tolist(), b1=model.b1.tolist(), W2=model.W2.tolist())
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DimensionMismatch, match="re-run `train-retriever`"):
+        load_model(path)
+
+
+def test_model_loader_refuses_a_blob_one_float_short(tmp_path):
+    path, doc = _saved_model_doc(tmp_path)
+    doc["W1"] = base64.b64encode(base64.b64decode(doc["W1"])[:-8]).decode("ascii")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DimensionMismatch, match="W1"):
+        load_model(path)
+
+
+def test_model_loader_refuses_a_non_base64_blob(tmp_path):
+    path, doc = _saved_model_doc(tmp_path)
+    doc["b1"] = "*" + doc["b1"][1:]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DimensionMismatch, match="b1"):
+        load_model(path)
 
 
 def test_model_loader_rejects_dimension_mismatch(tmp_path):
