@@ -212,10 +212,11 @@ class MockChatTransport:
     """Deterministic stand-in for a chat server, keyed off prompt markers.
 
     Extraction prompts are answered by re-reading the linearized table
-    sentences out of the document section; reasoning prompts are answered from
-    a question -> gold-answer key (optionally scrambled to force mismatches);
-    judge prompts get a fixed verdict. Counts calls so tests can assert that
-    the cache kept the network cold.
+    sentences out of the document section. A reasoning prompt is answered by
+    looking its `Question:` line up in a question -> gold-answer key (optionally
+    scrambled to force mismatches); a question not in the key, or one that
+    spans lines, gets "unknown". Judge prompts get a fixed verdict. Counts
+    calls so tests can assert that the cache kept the network cold.
     """
 
     def __init__(self, answer_key: dict[str, str] | None = None, scramble: bool = False):
@@ -268,13 +269,7 @@ class MockChatTransport:
 
     def _answer(self, prompt: str) -> str:
         m = re.search(r"^Question: (.+)$", prompt, flags=re.MULTILINE)
-        question = m.group(1).strip() if m else ""
-        gold = self.answer_key.get(question)
-        if gold is None:
-            for known, ans in self.answer_key.items():
-                if known in prompt:
-                    gold = ans
-                    break
+        gold = self.answer_key.get(m.group(1).strip()) if m else None
         if gold is None:
             return "ANSWER: unknown"
         answer = self._scrambled(gold) if self.scramble else gold

@@ -149,18 +149,11 @@ def _mock_answer_key(path: str) -> dict[str, str]:
 
 @functools.lru_cache(maxsize=4)
 def _read_answer_key(path: str, mtime_ns: int, size: int) -> dict[str, str]:
-    """The question -> answer key of a raw corpus file, read once per version.
-
-    The stat fields are part of the memo key, so a rewritten file is read
-    again. Every caller gets the same dict: `MockChatTransport` copies it.
-    """
-    key = {}
-    for record in json.loads(Path(path).read_text(encoding="utf-8")):
-        qa = record.get("qa") or {}
-        question = str(qa.get("question") or "").strip()
-        if question:
-            key[question] = str(qa.get("answer") or qa.get("exe_ans") or "")
-    return key
+    """The question -> gold answer key of a raw corpus file, as `ingest` parses
+    it, read once per version. The stat fields are part of the memo key, so a
+    rewritten file is read again. Every caller gets the same dict, which
+    `MockChatTransport` copies."""
+    return {doc.question.text: doc.question.gold_answer for doc in load_split(path)}
 
 
 def build_chat_client(provider: ProviderConfig, cache_dir: str | None) -> ChatClient:
@@ -230,6 +223,16 @@ def _configured_splits(cfg: PipelineConfig) -> list[str]:
 def _load_documents(cfg: PipelineConfig, split: str) -> list[FinDocument]:
     with open(_require(documents_path(cfg, split), "ingest"), encoding="utf-8") as f:
         return [parse_record(line) for line in f]
+
+
+def _load_triplets(cfg: PipelineConfig, split: str) -> dict[str, list]:
+    """The split's triplet store grouped by source document, in store order."""
+    by_doc: dict[str, list] = {}
+    store = _require(triplets_path(cfg, split), "extract")
+    # Called through this module's global, which bench/tracing.py wraps.
+    for t in parse_triplets_file(store.read_text(encoding="utf-8")):
+        by_doc.setdefault(t.source_doc, []).append(t)
+    return by_doc
 
 
 def _require(path: Path, producer: str) -> Path:
@@ -316,14 +319,8 @@ _MANIFEST_LINE = '{"doc_id": %s, "triplet_id": %s, "label": %d}\n'
 
 def cmd_train_retriever(cfg: PipelineConfig) -> dict:
     """Label train-split triplets from gold supporting facts and fit the filter."""
-    split = "train"
-    store = _require(triplets_path(cfg, split), "extract")
-    docs = _load_documents(cfg, split)
-    by_doc: dict[str, list] = {}
-    for t in parse_triplets_file(store.read_text(encoding="utf-8")):
-        by_doc.setdefault(t.source_doc, []).append(t)
-
-    docs = [doc for doc in docs if doc.id in by_doc]
+    by_doc = _load_triplets(cfg, "train")
+    docs = [doc for doc in _load_documents(cfg, "train") if doc.id in by_doc]
     if not docs:
         raise MissingArtifact("no training pairs; run `extract` on the train split first")
 
@@ -371,10 +368,7 @@ def cmd_answer(cfg: PipelineConfig, split: str, mode: str) -> dict[str, int]:
     docs = _load_documents(cfg, split)
     embedder = None
     if mode == "kg":
-        store = _require(triplets_path(cfg, split), "extract")
-        by_doc: dict[str, list] = {}
-        for t in parse_triplets_file(store.read_text(encoding="utf-8")):
-            by_doc.setdefault(t.source_doc, []).append(t)
+        by_doc = _load_triplets(cfg, split)
         model = retriever.load_model(_require(model_path(cfg), "train-retriever"))
         embedder = build_embedder(cfg.embeddings, cfg.cache_dir)
 
@@ -430,42 +424,40 @@ def cmd_answer(cfg: PipelineConfig, split: str, mode: str) -> dict[str, int]:
 
 
 def cmd_evaluate(cfg: PipelineConfig, split: str, mode: str) -> dict:
-    """Judge predictions against gold answers and write verdicts plus a summary."""
+    """Judge the first prediction for each split document against its gold
+    answer, and write verdicts plus a summary."""
     pred_file = _require(predictions_path(cfg, split, mode), "answer")
-    docs = {doc.id: doc for doc in _load_documents(cfg, split)}
+    docs = _load_documents(cfg, split)
+    ids = {doc.id for doc in docs}
+    lines = pred_file.read_text(encoding="utf-8").splitlines()
+    entries: dict[str, dict] = {}
+    for line in lines:
+        try:
+            entry = json.loads(line)
+            if entry["doc_id"] in ids:  # a split document's id is a string
+                entries.setdefault(entry["doc_id"], entry)
+        except (ValueError, TypeError, KeyError):  # not an object with a doc_id
+            continue
+    n_missing, n_unscored = len(docs) - len(entries), len(lines) - len(entries)
+    if n_missing or n_unscored:
+        logger.warning("%s/%s: %d of %d prediction lines not scored (repeated, unknown id or "
+                       "malformed); %d of %d documents have none and score MISSING", split,
+                       mode, n_unscored, len(lines), n_missing, len(docs))
 
     records = []
-    for line in pred_file.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        entry = json.loads(line)
-        doc = docs.get(entry["doc_id"])
-        if doc is None:
-            logger.warning("prediction for unknown doc %s skipped", entry["doc_id"])
-            continue
-        raw_answer = str(entry["answer"])
-        predicted = (reasoner.parse_answer(f"ANSWER: {raw_answer}")
-                     if raw_answer.strip() else reasoner.Answer(raw_text=""))
+    for doc in docs:
+        entry = entries.get(doc.id, {})
+        raw_answer = str(entry.get("answer", ""))
         record = EvalRecord(
-            doc_id=entry["doc_id"],
-            predicted=predicted,
+            doc_id=doc.id,
+            predicted=(reasoner.parse_answer(f"ANSWER: {raw_answer}")
+                       if raw_answer.strip() else reasoner.Answer(raw_text="")),
             gold=doc.question.gold_answer,
             gold_exe=doc.question.gold_exe_answer,
         )
-        if "error" in entry:  # the answer request failed: nothing to judge
-            record.verdict, record.judge_used = "ERROR", "NONE"
+        if not entry or "error" in entry:  # no answer, or its request failed: nothing to judge
+            record.verdict, record.judge_used = "ERROR" if entry else "MISSING", "NONE"
         records.append(record)
-    # Every split document is in the denominator: one without a prediction is wrong.
-    answered = {r.doc_id for r in records}
-    missing = [EvalRecord(doc_id=doc.id, predicted=reasoner.Answer(raw_text=""),
-                          gold=doc.question.gold_answer,
-                          gold_exe=doc.question.gold_exe_answer,
-                          verdict="MISSING", judge_used="NONE")
-               for doc in docs.values() if doc.id not in answered]
-    if missing:
-        logger.warning("%d of %d %s documents have no %s prediction; scored MISSING",
-                       len(missing), len(docs), split, mode)
-    records += missing
 
     judge_client = None
     if cfg.judge.kind != "none":  # an unsupported kind fails in build_chat_client
@@ -476,7 +468,7 @@ def cmd_evaluate(cfg: PipelineConfig, split: str, mode: str) -> dict:
         "split": split,
         "mode": mode,
         "n": len(judged),
-        "n_missing": len(missing),
+        "n_missing": n_missing,
         "n_errors": sum(1 for r in judged if r.verdict == "ERROR"),
         "correct": sum(1 for r in judged if r.verdict == "CORRECT"),
         "accuracy": accuracy,

@@ -19,7 +19,7 @@ logger = logging.getLogger(__name__)
 
 
 class MalformedRecord(ValueError):
-    """Record is unusable (missing id or question text); caller should skip it."""
+    """Record is unusable (no id or question, or a misshapen field); caller should skip it."""
 
 
 @dataclass(frozen=True)
@@ -58,21 +58,26 @@ class FinDocument:
     question: QuestionRecord | None = None
 
 
-def _as_sentences(value) -> tuple[str, ...]:
+def _as_sentences(value, name: str) -> tuple[str, ...]:
     if not value:
         return ()
     if isinstance(value, str):
         value = [value]
+    elif not isinstance(value, (list, tuple)):
+        raise MalformedRecord(f"{name} is a {type(value).__name__}, not text or a list")
     return tuple(str(s) for s in value if str(s).strip())
 
 
 def _gold_inds_list(raw) -> tuple[str, ...]:
     # FinQA ships gold_inds as a key->sentence mapping; a plain list also works.
-    return _as_sentences(list(raw.values()) if isinstance(raw, dict) else raw)
+    return _as_sentences(list(raw.values()) if isinstance(raw, dict) else raw, "gold_inds")
 
 
 def _build_table(raw_table, doc_id: str) -> Table:
-    rows = [[str(c) for c in row] for row in (raw_table or [])]
+    rows = raw_table or []
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise MalformedRecord(f"record {doc_id} has a table that is not a list of lists")
+    rows = [[str(c) for c in row] for row in rows]
     if not rows:
         return Table()
     header = rows[0]
@@ -95,8 +100,9 @@ def parse_record(raw_json: str | dict) -> FinDocument:
     """Parse one FinQA-format object into a FinDocument.
 
     Missing optional fields become empty; short table rows are padded with
-    empty cells (logged). Raises MalformedRecord when the id or question text
-    is missing, or when the record carries no content at all.
+    empty cells (logged). Raises MalformedRecord when the id, question text or
+    all content is missing, or when `qa` is not an object, the table is not a
+    list of lists, or a text field is neither text nor a list.
     """
     record = json.loads(raw_json) if isinstance(raw_json, str) else raw_json
     doc_id = str(record.get("id") or "").strip()
@@ -104,6 +110,8 @@ def parse_record(raw_json: str | dict) -> FinDocument:
         raise MalformedRecord("record has no id")
 
     qa = record.get("qa") or {}
+    if not isinstance(qa, dict):
+        raise MalformedRecord(f"record {doc_id} has a qa that is not an object")
     question_text = str(qa.get("question") or "").strip()
     if not question_text:
         raise MalformedRecord(f"record {doc_id} has no question text")
@@ -129,8 +137,8 @@ def parse_record(raw_json: str | dict) -> FinDocument:
         gold_inds=_gold_inds_list(qa.get("gold_inds")),
     )
 
-    pre_text = _as_sentences(record.get("pre_text"))
-    post_text = _as_sentences(record.get("post_text"))
+    pre_text = _as_sentences(record.get("pre_text"), "pre_text")
+    post_text = _as_sentences(record.get("post_text"), "post_text")
     table = _build_table(record.get("table"), doc_id)
     if not pre_text and not post_text and table.is_empty():
         raise MalformedRecord(f"record {doc_id} has no text and no table")
@@ -153,10 +161,14 @@ def load_split(path: str | Path) -> list[FinDocument]:
     """Load a JSON-array split file, skipping malformed records with a log line."""
     with open(path, encoding="utf-8") as f:
         raw = json.load(f)
+    if not isinstance(raw, list):
+        raise ValueError(f"{path} holds a {type(raw).__name__}, not a JSON array of records")
     docs: list[FinDocument] = []
     seen: set[str] = set()
     for i, record in enumerate(raw):
         try:
+            if not isinstance(record, dict):
+                raise MalformedRecord(f"a {type(record).__name__}, not an object")
             doc = parse_record(record)
         except MalformedRecord as exc:
             logger.warning("skipping record %d of %s: %s", i, path, exc)

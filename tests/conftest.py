@@ -1,4 +1,3 @@
-import json
 import sys
 import threading
 from pathlib import Path
@@ -29,11 +28,8 @@ def corpus_docs():
 
 
 @pytest.fixture(scope="session")
-def answer_key() -> dict:
-    key = {}
-    for record in json.loads(CORPUS.read_text(encoding="utf-8")):
-        key[record["qa"]["question"]] = str(record["qa"]["answer"])
-    return key
+def answer_key(corpus_docs) -> dict:
+    return {doc.question.text: doc.question.gold_answer for doc in corpus_docs}
 
 
 @pytest.fixture()

@@ -181,9 +181,8 @@ def test_mock_answer_key_is_read_once_per_file_version(tmp_path, corpus_path, mo
     records = json.loads(corpus_path.read_text())
     corpus.write_text(json.dumps(records))
     reads = []
-    read_text = Path.read_text
-    monkeypatch.setattr(Path, "read_text",
-                        lambda self, *a, **k: reads.append(self) or read_text(self, *a, **k))
+    load_split = pl.load_split
+    monkeypatch.setattr(pl, "load_split", lambda path: reads.append(path) or load_split(path))
     provider = pl.ProviderConfig(kind="mock", answer_key=str(corpus))
     question = records[0]["qa"]["question"]
     prompt = f"Question: {question}\nEnd with ANSWER: <value>"
@@ -192,7 +191,7 @@ def test_mock_answer_key_is_read_once_per_file_version(tmp_path, corpus_path, mo
         return pl.build_chat_client(provider, None).complete(prompt).splitlines()[-1]
 
     assert reply() == reply() == "ANSWER: " + records[0]["qa"]["answer"]
-    assert reads.count(corpus) == 1
+    assert reads == [str(corpus)]
     # A rewrite of the same size, as an edit to one digit would be; a later
     # write gets a later modification time.
     records[0]["qa"]["answer"] = "999"
@@ -200,7 +199,7 @@ def test_mock_answer_key_is_read_once_per_file_version(tmp_path, corpus_path, mo
     st = corpus.stat()
     os.utime(corpus, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
     assert reply() == "ANSWER: 999"
-    assert reads.count(corpus) == 2
+    assert reads == [str(corpus)] * 2
 
 
 def test_rejected_fragments_persisted(tmp_path, corpus_path, answer_key):
@@ -783,3 +782,63 @@ def test_missing_predictions_count_as_incorrect(tmp_path, corpus_path):
     verdicts = [json.loads(line) for line in
                 pl.verdicts_path(cfg, "test", "vanilla").read_text().splitlines()]
     assert [v["verdict"] for v in verdicts] == ["CORRECT"] + ["MISSING"] * 4
+
+
+def _evaluate_edited(tmp_path, corpus_path, edit) -> tuple[dict, list[dict]]:
+    """Evaluate the vanilla predictions after `edit` has rewritten their lines."""
+    cfg = _config(tmp_path, corpus_path)
+    pl.cmd_ingest(cfg)
+    pl.cmd_answer(cfg, "test", "vanilla")
+    preds = pl.predictions_path(cfg, "test", "vanilla")
+    preds.write_text("".join(edit(preds.read_text(encoding="utf-8").splitlines(keepends=True))),
+                     encoding="utf-8")
+    summary = pl.cmd_evaluate(cfg, "test", "vanilla")
+    verdicts = [json.loads(line) for line in
+                pl.verdicts_path(cfg, "test", "vanilla").read_text().splitlines()]
+    return summary, verdicts
+
+
+def test_zero_exe_ans_with_empty_answer_scores_correct(tmp_path, corpus_path):
+    records = json.loads(corpus_path.read_text())
+    records[0]["qa"].update(answer="", exe_ans=0)
+    corpus = tmp_path / "zero.json"
+    corpus.write_text(json.dumps(records))
+    summary, verdicts = _evaluate_edited(tmp_path, corpus, lambda lines: lines)
+    assert verdicts[0]["gold"] == "0"
+    assert verdicts[0]["verdict"] == "CORRECT"
+    assert (summary["n"], summary["correct"]) == (5, 5)
+
+
+def test_repeated_prediction_line_is_scored_once(tmp_path, corpus_path, corpus_docs):
+    def repeat_first_with_a_wrong_answer(lines):
+        return lines + [json.dumps({**json.loads(lines[0]), "answer": "-1"}) + "\n"]
+
+    summary, verdicts = _evaluate_edited(tmp_path, corpus_path, repeat_first_with_a_wrong_answer)
+    assert (summary["n"], summary["correct"], summary["n_missing"]) == (5, 5, 0)
+    assert [v["doc_id"] for v in verdicts] == [doc.id for doc in corpus_docs]
+
+
+def test_prediction_for_unknown_id_is_not_scored(tmp_path, corpus_path, corpus_docs, caplog):
+    def add_a_stray(lines):
+        return [json.dumps({**json.loads(lines[0]), "doc_id": "not-in-split"}) + "\n"] + lines
+
+    with caplog.at_level("WARNING", logger=pl.logger.name):
+        summary, verdicts = _evaluate_edited(tmp_path, corpus_path, add_a_stray)
+    assert (summary["n"], summary["correct"], summary["n_missing"]) == (5, 5, 0)
+    assert [v["doc_id"] for v in verdicts] == [doc.id for doc in corpus_docs]
+    warnings = [r.getMessage() for r in caplog.records
+                if r.name == pl.logger.name and r.levelname == "WARNING"]
+    assert len(warnings) == 1 and "1 of 6 prediction lines" in warnings[0]
+
+
+@pytest.mark.parametrize("bad_line", [
+    "{not json", "null", "[1, 2]", '"text"', '{"answer": "50"}',
+    '{"doc_id": ["beta-industries-change"], "answer": "50"}',
+], ids=["not-json", "null", "array", "string", "no-doc-id", "list-doc-id"])
+def test_malformed_prediction_line_costs_only_its_document(tmp_path, corpus_path, bad_line):
+    def break_second(lines):
+        return [lines[0], bad_line + "\n", *lines[2:]]
+
+    summary, verdicts = _evaluate_edited(tmp_path, corpus_path, break_second)
+    assert (summary["n"], summary["correct"], summary["n_missing"]) == (5, 4, 1)
+    assert [v["verdict"] for v in verdicts] == ["CORRECT", "MISSING"] + ["CORRECT"] * 3

@@ -290,6 +290,29 @@ def test_load_split_counts_and_ids(corpus_path):
     assert len({d.id for d in docs}) == 5
 
 
+@pytest.mark.parametrize("bad", [
+    None, 1, "x",
+    {"id": "bad", "pre_text": ["x"], "qa": "nope"},
+    {"id": "bad", "table": [["Year", "Revenue"], 5], "qa": {"question": "q", "answer": "a"}},
+    {"id": "bad", "pre_text": 5, "qa": {"question": "q", "answer": "a"}},
+    {"id": "bad", "pre_text": ["x"], "qa": {"question": "q", "answer": "a", "gold_inds": 5}},
+], ids=["null", "number", "string", "qa-string", "table-row-number", "pre-text-number",
+        "gold-inds-number"])
+def test_load_split_skips_a_misshapen_record(tmp_path, corpus_path, bad):
+    records = json.loads(corpus_path.read_text())
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(records[:2] + [bad] + records[2:]))
+    assert load_split(path) == load_split(corpus_path)
+
+
+@pytest.mark.parametrize("top", [{"id": "d"}, 5, "records"], ids=["object", "number", "string"])
+def test_load_split_refuses_a_file_that_is_not_an_array(tmp_path, top):
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(top))
+    with pytest.raises(ValueError, match="split.json"):
+        load_split(path)
+
+
 def test_context_years():
     table = Table(header=("Year", "Revenue"),
                   rows=(("2019", "1"), ("2020", "2"), ("thereafter", "3")))
