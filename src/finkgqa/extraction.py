@@ -132,12 +132,12 @@ def parse_extraction_response(raw: str, doc_id: str) -> ExtractionResult:
     """Pull the first JSON array out of a model response and validate every element.
 
     Invalid elements end up in `rejected` with the violated invariants; valid
-    triplets are deduplicated by content hash.
+    triplets are kept in reply order, repeats included: `DocumentExtractor.extract`
+    de-duplicates a document's triplets across all of its chunks.
     """
     elements = _first_json_array(raw)
     triplets: list[Triplet] = []
     rejected: list[tuple[str, tuple[str, ...]]] = []
-    seen: set[str] = set()
     for elem in elements:
         if not isinstance(elem, dict):
             violations = ("NotAnObject",)
@@ -156,9 +156,6 @@ def parse_extraction_response(raw: str, doc_id: str) -> ExtractionResult:
             # Only a rejected element is serialised, for the audit file.
             rejected.append((json.dumps(elem), violations))
             continue
-        if triplet.triplet_id in seen:
-            continue
-        seen.add(triplet.triplet_id)
         triplets.append(triplet)
     return ExtractionResult(doc_id=doc_id, triplets=tuple(triplets),
                             rejected=tuple(rejected))

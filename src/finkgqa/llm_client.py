@@ -38,7 +38,9 @@ RETRY_BACKOFF_S = 0.5  # first retry's wait; each further retry doubles it
 
 @dataclass
 class ProviderConfig:
-    """One provider's settings, mirroring a `providers.<role>` object of the config file."""
+    """One provider's settings. A `providers.<role>` object of the config file sets
+    only the fields that role's clients read (`pipeline.CONFIG_KEYS`); the rest
+    keep their defaults."""
 
     kind: str = "mock"  # mock | http | local | none
     endpoint: str = ""

@@ -13,7 +13,7 @@ import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
@@ -107,33 +107,32 @@ def _coerce(key: str, current, value):
     raise ValueError(f"config key {key} needs {type(current).__name__}, got {value!r}")
 
 
+_SHARED = ("kind", "endpoint", "model", "api_key_env", "max_retries", "timeout")
+# Every dotted config key but data.<split>, and the attribute it sets. A provider
+# role takes only the fields its clients read: the judge always asks at temperature 0.
+CONFIG_KEYS = {
+    "seed": "seed", "output_dir": "output_dir", "cache_dir": "cache_dir",
+    "extraction.backend": "extraction_backend", "extraction.max_inflight": "max_inflight",
+    "extraction.prompt_asset": "prompt_asset", "retriever.k": "retriever_k",
+    "retriever.epochs": "epochs",
+    **{f"providers.{role}.{name}": f"{role}.{name}" for role, names in (
+        ("chat", _SHARED + ("temperature", "max_tokens", "answer_key", "scramble")),
+        ("embeddings", _SHARED + ("dim",)),
+        ("judge", _SHARED + ("max_tokens",))) for name in names},
+}
+
+
 def apply_overrides(cfg: PipelineConfig, overrides: dict) -> None:
     """Apply dotted-path overrides like retriever.k=5 or data.test=path onto the config."""
-    aliases = {
-        "retriever.k": "retriever_k",
-        "retriever.epochs": "epochs",
-        "extraction.backend": "extraction_backend",
-        "extraction.max_inflight": "max_inflight",
-        "extraction.prompt_asset": "prompt_asset",
-    }
     for key, value in overrides.items():
         section, _, split = key.partition(".")
         if section == "data" and split in SPLITS:
             cfg.data[split] = _coerce(key, "", value)
             continue
-        target = cfg
-        parts = aliases.get(key, key).split(".")
-        if (parts[0] == "providers" and len(parts) > 1
-                and isinstance(getattr(cfg, parts[1], None), ProviderConfig)):
-            parts = parts[1:]  # providers.<role>.<key> is <role>.<key>
-        *path, name = parts
-        for part in path:
-            # Only a provider section has fields of its own to descend into.
-            target = getattr(target, part, None)
-            if not isinstance(target, ProviderConfig):
-                raise KeyError(f"unknown config key: {key}")
-        if name not in {f.name for f in fields(target)}:
+        if key not in CONFIG_KEYS:
             raise KeyError(f"unknown config key: {key}")
+        role, _, name = CONFIG_KEYS[key].rpartition(".")
+        target = getattr(cfg, role) if role else cfg
         setattr(target, name, _coerce(key, getattr(target, name), value))
 
 
@@ -282,29 +281,29 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
     counts, n_errors = {}, 0
     for split in _configured_splits(cfg):
         docs = _load_documents(cfg, split)
+        results = []  # the table backend rejects nothing, so its rejected file is empty
         if cfg.extraction_backend == "table":
             per_doc = [extraction.extract_table_triplets(doc) for doc in docs]
         else:
             client = build_chat_client(cfg.chat, cfg.cache_dir)
             extractor = DocumentExtractor(client, asset_path=cfg.prompt_asset or None)
             results = _map_requests(extractor.extract, docs, cfg.chat, cfg.max_inflight)
-            per_doc = [list(r.triplets) for r in results]
-            # keep every rejected fragment on disk for auditing
-            audit_lines, failed = [], 0
-            for result in results:
-                for fragment, violations in result.rejected:
-                    audit_lines.append(json.dumps({
-                        "doc_id": result.doc_id,
-                        "fragment": fragment,
-                        "violations": list(violations),
-                    }))
-                    failed += violations == ("LlmUnavailable",)
-            write_atomic(rejected_path(cfg, split),
-                         "".join(l + "\n" for l in audit_lines))
-            if audit_lines:
-                logger.info("split %s: %d fragments rejected, %d of them by a failed "
-                            "request", split, len(audit_lines), failed)
-            n_errors += failed
+            per_doc = [r.triplets for r in results]
+        audit_lines, failed = [], 0
+        for result in results:
+            for fragment, violations in result.rejected:
+                audit_lines.append(json.dumps({
+                    "doc_id": result.doc_id,
+                    "fragment": fragment,
+                    "violations": list(violations),
+                }))
+                # a chunk whose request failed, or whose reply stayed cut at max_tokens
+                failed += violations in (("LlmUnavailable",), ("LlmTruncated",))
+        write_atomic(rejected_path(cfg, split), "".join(l + "\n" for l in audit_lines))
+        if audit_lines:
+            logger.info("split %s: %d fragments rejected, %d of them by a failed "
+                        "request", split, len(audit_lines), failed)
+        n_errors += failed
         triplets = [t for group in per_doc for t in group]
         write_atomic(triplets_path(cfg, split), serialize_triplets(triplets))
         counts[split] = len(triplets)

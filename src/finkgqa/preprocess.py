@@ -63,8 +63,8 @@ def _as_sentences(value, name: str) -> tuple[str, ...]:
         return ()
     if isinstance(value, str):
         value = [value]
-    elif not isinstance(value, (list, tuple)):
-        raise MalformedRecord(f"{name} is a {type(value).__name__}, not text or a list")
+    elif not isinstance(value, (list, tuple)) or any(isinstance(s, (list, dict)) for s in value):
+        raise MalformedRecord(f"{name} is neither text nor a list of sentences")
     return tuple(str(s) for s in value if str(s).strip())
 
 
@@ -77,6 +77,8 @@ def _build_table(raw_table, doc_id: str) -> Table:
     rows = raw_table or []
     if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
         raise MalformedRecord(f"record {doc_id} has a table that is not a list of lists")
+    if any(isinstance(c, (list, dict)) for row in rows for c in row):
+        raise MalformedRecord(f"record {doc_id} has a table cell that is a list or an object")
     rows = [[str(c) for c in row] for row in rows]
     if not rows:
         return Table()
@@ -102,7 +104,7 @@ def parse_record(raw_json: str | dict) -> FinDocument:
     Missing optional fields become empty; short table rows are padded with
     empty cells (logged). Raises MalformedRecord when the id, question text or
     all content is missing, or when `qa` is not an object, the table is not a
-    list of lists, or a text field is neither text nor a list.
+    list of lists, or a text field, a sentence or a table cell has the wrong shape.
     """
     record = json.loads(raw_json) if isinstance(raw_json, str) else raw_json
     doc_id = str(record.get("id") or "").strip()

@@ -147,12 +147,6 @@ def test_every_rejection_kind_records_its_element_as_dumped(monkeypatch):
         [json.dumps(e) for e in rejected_elements]
 
 
-def test_duplicates_deduplicated_by_id():
-    raw = json.dumps([ENTERGY_ELEMENT, dict(ENTERGY_ELEMENT)])
-    result = parse_extraction_response(raw, "d")
-    assert len(result.triplets) == 1
-
-
 def test_tolerates_prose_and_multiple_arrays():
     raw = "I think [not json] hmm " + json.dumps([ENTERGY_ELEMENT]) + " trailing"
     result = parse_extraction_response(raw, "d")
@@ -277,6 +271,16 @@ def test_extractor_deduplicates_across_chunks(answer_key, corpus_docs):
     wide = DocumentExtractor(client).extract(doc)
     narrow = DocumentExtractor(client, chunk_chars=80, chunk_overlap=1).extract(doc)
     assert {t.triplet_id for t in narrow.triplets} == {t.triplet_id for t in wide.triplets}
+
+
+def test_extractor_keeps_one_triplet_of_a_repeated_element(corpus_docs):
+    from finkgqa.llm_client import chat_response
+
+    reply = chat_response(json.dumps([ENTERGY_ELEMENT, dict(ENTERGY_ELEMENT)]))
+    client = ChatClient(ProviderConfig(model="m", endpoint="http://mock.invalid"),
+                        transport=lambda url, payload, headers, timeout: (200, reply))
+    result = DocumentExtractor(client).extract(corpus_docs[0])
+    assert [t.subject for t in result.triplets] == ["NET_REVENUE:Entergy"]
 
 
 def test_truncated_chunks_are_split_and_retried(corpus_docs):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -594,13 +596,26 @@ def test_config_file_empty_split_is_skipped(tmp_path, corpus_path):
     assert list(pl.cmd_ingest(cfg)) == ["test"]
 
 
+# Field names that are no config key, and provider keys that no client of their role reads.
+FLAT_SPELLINGS = ("retriever_k", "epochs", "max_inflight", "extraction_backend",
+                  "prompt_asset", *(f"{role}.{f.name}" for role in ("chat", "embeddings", "judge")
+                                    for f in fields(pl.ProviderConfig)))
+NO_EFFECT_KEYS = ("providers.judge.temperature", "providers.embeddings.temperature",
+                  "providers.embeddings.max_tokens", "providers.embeddings.answer_key",
+                  "providers.embeddings.scramble", "providers.judge.answer_key",
+                  "providers.judge.scramble", "providers.chat.dim", "providers.judge.dim")
+
+
 def test_overrides_reject_unknown_keys(tmp_path):
     cfg = pl.PipelineConfig()
+    assert len(FLAT_SPELLINGS) == 38
     for key in ("no.such.key", "retriever.mode", "retriever.threshold", "data.holdout",
                 "retriever.hidden_size", "extraction.chunk_chars", "report.baseline_label",
-                "seed.real", "chat.kind.upper", "providers.seed", "providers"):
-        with pytest.raises(KeyError, match=key):
+                "seed.real", "chat.kind.upper", "providers.seed", "providers", "data",
+                "providers.chat", *FLAT_SPELLINGS, *NO_EFFECT_KEYS):
+        with pytest.raises(KeyError, match=re.escape(key)):
             pl.apply_overrides(cfg, {key: "1"})
+    assert cfg == pl.PipelineConfig()
     for key in ("retriever.k", "providers.chat.temperature"):
         with pytest.raises(ValueError, match=key):
             pl.apply_overrides(cfg, {key: "abc"})
@@ -621,7 +636,7 @@ def test_overrides_check_value_types(tmp_path):
     for key, value in (("retriever.k", "1.5"), ("retriever.k", True), ("seed", "true"),
                        ("providers.chat.scramble", "ture"), ("providers.chat.scramble", 1),
                        ("providers.chat.temperature", False), ("output_dir", 5),
-                       ("providers.chat", "mock"), ("data.test", 3)):
+                       ("data.test", 3)):
         with pytest.raises(ValueError, match=key):
             pl.apply_overrides(cfg, {key: value})
     assert cfg == pl.PipelineConfig()
@@ -635,6 +650,20 @@ def test_overrides_check_value_types(tmp_path):
                            ("yes", True), ("off", False), (True, True)):
         pl.apply_overrides(cfg, {"providers.chat.scramble": word})
         assert cfg.chat.scramble is expected
+
+
+def test_readme_config_tables_list_every_accepted_key():
+    """The README documents exactly the 35 keys `apply_overrides` accepts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Every config key", 1)[1].split("Everything else is fixed", 1)[0]
+    documented = [key for line in section.splitlines()
+                  if line.startswith("| `")
+                  for key in re.findall(r"`([^`]+)`", line.split("|")[1])]
+    assert len(documented) == len(set(documented)) == 35
+    assert set(documented) == set(pl.CONFIG_KEYS) | {f"data.{s}" for s in pl.SPLITS}
+    for key in documented:  # a known key refuses a value of no config type; an unknown one
+        with pytest.raises(ValueError, match=re.escape(key)):  # would raise KeyError first
+            pl.apply_overrides(pl.PipelineConfig(), {key: object()})
 
 
 def test_out_of_range_provider_setting_fails_when_the_client_is_built(tmp_path, corpus_path):
@@ -675,6 +704,39 @@ def test_table_backend_runs_without_chat_provider(tmp_path, corpus_path):
     pl.cmd_ingest(cfg)
     counts = pl.cmd_extract(cfg)
     assert counts == {"triplets": {"train": 12, "test": 12}, "n_errors": 0}
+
+
+def test_table_backend_replaces_an_earlier_rejected_file(tmp_path, corpus_path, corpus_docs,
+                                                         monkeypatch):
+    """Every extract run writes both files, so no earlier run's rejections stay
+    beside a new triplet store."""
+    cfg = _config(tmp_path, corpus_path)
+    cfg.chat.max_retries = 0
+    pl.cmd_ingest(cfg)
+    monkeypatch.setattr(pl, "MockChatTransport", _failing_for(corpus_docs[0].pre_text[0]))
+    assert pl.cmd_extract(cfg)["n_errors"] == 2
+    assert pl.rejected_path(cfg, "test").read_text(encoding="utf-8")
+    cfg.extraction_backend = "table"
+    assert pl.cmd_extract(cfg)["n_errors"] == 0
+    assert pl.rejected_path(cfg, "test").read_text(encoding="utf-8") == ""
+
+
+def test_truncated_extraction_chunk_counts_as_an_error(tmp_path, corpus_path, monkeypatch):
+    """A one-sentence chunk whose reply is still cut at max_tokens is lost like
+    one whose request failed, and counts in n_errors the same way."""
+    cfg = _config(tmp_path, corpus_path)
+    pl.cmd_ingest(cfg)
+    truncated = (200, chat_response("[", finish_reason="length"))
+    monkeypatch.setattr(pl, "MockChatTransport", _failing_for("ATTRIBUTE REQUIREMENTS",
+                                                              truncated))
+    counts = pl.cmd_extract(cfg)
+    lost = 0
+    for split in ("train", "test"):
+        rejected = [json.loads(l) for l in
+                    pl.rejected_path(cfg, split).read_text(encoding="utf-8").splitlines()]
+        assert rejected and all(r["violations"] == ["LlmTruncated"] for r in rejected)
+        lost += len(rejected)
+    assert counts == {"triplets": {"train": 0, "test": 0}, "n_errors": lost}
 
 
 # ---------------------------------------------------------------------------

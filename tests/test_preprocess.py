@@ -296,8 +296,20 @@ def test_load_split_counts_and_ids(corpus_path):
     {"id": "bad", "table": [["Year", "Revenue"], 5], "qa": {"question": "q", "answer": "a"}},
     {"id": "bad", "pre_text": 5, "qa": {"question": "q", "answer": "a"}},
     {"id": "bad", "pre_text": ["x"], "qa": {"question": "q", "answer": "a", "gold_inds": 5}},
+    # a nested value is no sentence and no cell: its repr would reach the document store
+    {"id": "bad", "pre_text": ["x", ["y"]], "qa": {"question": "q", "answer": "a"}},
+    {"id": "bad", "post_text": [{"s": "y"}], "qa": {"question": "q", "answer": "a"}},
+    {"id": "bad", "pre_text": ["x"], "qa": {"question": "q", "answer": "a", "gold_inds": [["x"]]}},
+    {"id": "bad", "pre_text": ["x"],
+     "qa": {"question": "q", "answer": "a", "gold_inds": {"text_0": {"s": "x"}}}},
+    {"id": "bad", "table": [["Year", "Revenue"], ["2020", [5]]],
+     "qa": {"question": "q", "answer": "a"}},
+    {"id": "bad", "table": [["Year", {"c": "Revenue"}], ["2020", "5"]],
+     "qa": {"question": "q", "answer": "a"}},
 ], ids=["null", "number", "string", "qa-string", "table-row-number", "pre-text-number",
-        "gold-inds-number"])
+        "gold-inds-number", "pre-text-list-sentence", "post-text-object-sentence",
+        "gold-inds-list-sentence", "gold-inds-object-value", "table-list-cell",
+        "table-object-cell"])
 def test_load_split_skips_a_misshapen_record(tmp_path, corpus_path, bad):
     records = json.loads(corpus_path.read_text())
     path = tmp_path / "split.json"
