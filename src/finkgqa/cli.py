@@ -15,22 +15,29 @@ def _parse_sets(pairs: list[str]) -> dict:
     overrides = {}
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"--set expects key=value, got {pair!r}")
+            raise ValueError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         overrides[key.strip()] = value.strip()
     return overrides
 
 
-def _load_config(args) -> PipelineConfig:
-    cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    overrides = _parse_sets(args.set or [])
-    if getattr(args, "output_dir", None):
-        overrides["output_dir"] = args.output_dir
-    if getattr(args, "cache_dir", None):
-        overrides["cache_dir"] = args.cache_dir
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    apply_overrides(cfg, overrides)
+def _load_config(args, parser: argparse.ArgumentParser) -> PipelineConfig:
+    """The config file's settings under the command line's; a config error
+    exits through `parser.error`, with one line and status 2."""
+    try:
+        cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+        overrides = _parse_sets(args.set or [])
+        if getattr(args, "output_dir", None):
+            overrides["output_dir"] = args.output_dir
+        if getattr(args, "cache_dir", None):
+            overrides["cache_dir"] = args.cache_dir
+        if getattr(args, "seed", None) is not None:
+            overrides["seed"] = args.seed
+        apply_overrides(cfg, overrides)
+    except KeyError as exc:  # its str() would quote the message
+        parser.error(exc.args[0])
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     return cfg
 
 
@@ -81,10 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    cfg = _load_config(args)
+    cfg = _load_config(args, parser)
 
     if args.command == "ingest":
         counts = pipeline.cmd_ingest(cfg)

@@ -27,13 +27,14 @@ class DimensionMismatch(ValueError):
 DEFAULT_DIM = 256
 
 
-def _unit_rows(V: np.ndarray) -> np.ndarray:
-    """Each row of V scaled to unit norm; a zero row has no direction, so it becomes e0."""
+def _unit_fractions(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V, its row norms), so that V / norms[:, None] scales each row of V to
+    unit norm; a zero row has no direction, so it becomes e0 over 1.0."""
     norms = np.sqrt(np.einsum("ij,ij->i", V, V))
     zero = norms == 0.0
     V[zero, 0] = 1.0
     norms[zero] = 1.0
-    return V / norms[:, None]
+    return V, norms
 
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -60,8 +61,9 @@ def _pack_piece(piece: str, dim: int, width: int, features: dict[str, bytes]) ->
 
 
 def _hashed_bags(texts: list[str], dim: int, pieces: dict[str, bytes],
-                 features: dict[str, bytes]) -> np.ndarray:
-    """Unit-norm signed bags of the texts' hashed features, one row per text.
+                 features: dict[str, bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """Signed bags of the texts' hashed features and their norms, one row per
+    text, as `_unit_fractions` gives them.
 
     Tokens never cross whitespace, and lowercasing maps one character at a
     time (only the final sigma looks at its neighbours, and no sigma is
@@ -69,7 +71,8 @@ def _hashed_bags(texts: list[str], dim: int, pieces: dict[str, bytes],
     pieces, in order. `pieces` memoises each piece's packed codes, and
     `features` each feature's code. Each bag entry is a count of +1 codes
     minus a count of -1 codes: an integer, as the sum of +/-1 one feature at
-    a time would give, so the rows and the norms have the same bits.
+    a time would give, so the rows and the norms have the same bits. The bags
+    come back in the narrowest signed integer dtype that holds every count.
     """
     if dim < 16:
         raise ValueError(f"dim {dim} too small (min 16)")
@@ -87,7 +90,10 @@ def _hashed_bags(texts: list[str], dim: int, pieces: dict[str, bytes],
     counts = np.bincount(rows * 2 * dim + np.frombuffer(b"".join(packed), dtype=dtype),
                          minlength=n * 2 * dim).reshape(n, 2, dim)
     V = np.subtract(counts[:, 0], counts[:, 1], dtype=np.float64)
-    return _unit_rows(V)  # signed hashing can cancel a text to zero
+    V, norms = _unit_fractions(V)  # signed hashing can cancel a text to zero
+    peak = int(np.abs(V).max(initial=0.0))
+    # -1 - peak fits a signed type exactly when +peak does.
+    return V.astype(np.min_scalar_type(-1 - peak)), norms
 
 
 class LocalHashEmbedder:
@@ -109,10 +115,17 @@ class LocalHashEmbedder:
         self._features: dict[str, bytes] = {}
 
     def embed(self, text: str) -> np.ndarray:
-        return _hashed_bags([text], self.dim, self._pieces, self._features)[0]
+        return self.embed_many([text])[0]
 
     def embed_many(self, texts: list[str]) -> np.ndarray:
         """Rows equal to `embed(text)`, for every text in one pass."""
+        numerators, denominators = self.embed_fractions(texts)
+        return numerators / denominators[:, None]
+
+    def embed_fractions(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """`embed_many(texts)` as (numerators, denominators): the texts' signed
+        bucket counts, in the narrowest signed integer dtype that holds them,
+        and their norms. Dividing gives the rows' bits."""
         return _hashed_bags(texts, self.dim, self._pieces, self._features)
 
 
@@ -134,6 +147,11 @@ class RemoteEmbedder(ProviderClient):
             return np.empty((0, 0))
         return np.stack([self.embed(text) for text in texts])
 
+    def embed_fractions(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """`embed_many(texts)` over denominators of 1.0, which divide back exactly."""
+        rows = self.embed_many(texts)
+        return rows, np.ones(len(rows))
+
     @staticmethod
     def _unit_vector(body: dict) -> np.ndarray:
         try:
@@ -142,4 +160,5 @@ class RemoteEmbedder(ProviderClient):
             raise LlmUnavailable(f"malformed embeddings response: {body}") from exc
         if vec.ndim != 1 or not vec.size:
             raise LlmUnavailable(f"malformed embeddings response: {body}")
-        return _unit_rows(vec[None, :])[0]
+        V, norms = _unit_fractions(vec[None, :])
+        return V[0] / norms[0]

@@ -56,7 +56,12 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         path = Path(path)
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config file {path} is not JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ValueError(f"config file {path} holds no JSON object")
         cfg = cls()
         apply_overrides(cfg, _flatten(raw))
         base = path.parent
@@ -330,7 +335,7 @@ def cmd_train_retriever(cfg: PipelineConfig) -> dict:
         # Popped so that each document's parsed triplets are freed once featurised.
         doc_triplets = by_doc.pop(doc.id)
         doc_labels = retriever.label_triplets(doc, doc_triplets)
-        X.fill(j, retriever.build_features(doc.question, doc_triplets, embedder))
+        X.fill(j, *retriever.feature_parts(doc.question, doc_triplets, embedder))
         labels.extend(doc_labels)
         doc_id = _json_str(doc.id)
         manifest.extend(_MANIFEST_LINE % (doc_id, _json_str(t.triplet_id), label)

@@ -66,29 +66,23 @@ def metric_overlap(metric_type: str, question_tokens: set[str]) -> float:
     return len(metric_tokens & question_tokens) / len(union)
 
 
-def build_features(question: QuestionRecord, triplets: list[Triplet],
-                   provider) -> np.ndarray:
-    """Feature rows for one question against its candidates, in input order.
-
-    Each row is [question embedding, triplet embedding, STRUCTURAL_COLUMNS].
-    The question-side work (embedding, year, tokens) is done once, and every
-    candidate is embedded by one `provider.embed_many` call.
-    """
+def _parts(question: QuestionRecord, triplets: list[Triplet], provider
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(q, numerators, denominators, T, S): `feature_parts` and the triplet
+    embeddings T = numerators / denominators, which cos_sim needs."""
     q = provider.embed(question.text)
     dim = q.shape[0]
-    X = np.empty((len(triplets), feature_dim(dim)), dtype=np.float64)
+    S = np.empty((len(triplets), N_STRUCTURAL), dtype=np.float64)
     if not triplets:
-        return X
-    T = provider.embed_many([t.text() for t in triplets])
-    if T.shape[1] != dim:
-        raise DimensionMismatch(f"question dim {dim} vs triplet dim {T.shape[1]}")
+        return q, np.empty((0, dim)), np.empty(0), np.empty((0, dim)), S
+    numerators, denominators = provider.embed_fractions([t.text() for t in triplets])
+    if numerators.shape[1] != dim:
+        raise DimensionMismatch(f"question dim {dim} vs triplet dim {numerators.shape[1]}")
+    T = numerators / denominators[:, None]
     q_year = question_year(question.text)
     q_lower = question.text.lower()
     q_tokens = set(_WORD_RE.findall(q_lower))
 
-    X[:, :dim] = q
-    X[:, dim:2 * dim] = T
-    S = X[:, 2 * dim:]
     # One dot product per row: a batched T @ q sums in another order and
     # changes the low bits of the features.
     S[:, 0] = np.clip([np.dot(q, row) for row in T], -1.0, 1.0)
@@ -101,42 +95,85 @@ def build_features(question: QuestionRecord, triplets: list[Triplet],
     S[:, 3] = [overlap[t.metric_type] for t in triplets]
     S[:, 4] = [bool(t.company) and t.company.lower() in q_lower for t in triplets]
     S[:, 5] = ["percent" in t.unit.lower() for t in triplets]
+    return q, numerators, denominators, T, S
+
+
+def feature_parts(question: QuestionRecord, triplets: list[Triplet], provider
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`build_features` rows for one question as (q, numerators, denominators, S).
+
+    Row i is [q | numerators[i] / denominators[i] | S[i]]: q is the question
+    embedding, the quotient is candidate i's embedding, from one
+    `provider.embed_fractions` call, and S holds its STRUCTURAL_COLUMNS. The
+    question-side work (embedding, year, tokens) is done once.
+    """
+    q, numerators, denominators, _, S = _parts(question, triplets, provider)
+    return q, numerators, denominators, S
+
+
+def build_features(question: QuestionRecord, triplets: list[Triplet],
+                   provider) -> np.ndarray:
+    """Feature rows for one question against its candidates, in input order.
+
+    Each row is [question embedding, triplet embedding, STRUCTURAL_COLUMNS],
+    from the parts `feature_parts` returns.
+    """
+    q, _, _, T, S = _parts(question, triplets, provider)
+    dim = q.shape[0]
+    X = np.empty((len(S), feature_dim(dim)), dtype=np.float64)
+    X[:, :dim] = q
+    X[:, dim:2 * dim] = T
+    X[:, 2 * dim:] = S
     return X
 
 
 class GroupedFeatures:
-    """`build_features` rows of many questions, each question's embedding stored once.
+    """`build_features` rows of many questions, kept as `feature_parts`.
 
-    Row i is [Q[doc[i]] | C[i]]: Q holds one question embedding per document,
-    doc maps each row to its document, and C holds the rest of the row (the
-    triplet embedding and STRUCTURAL_COLUMNS). That is 8·(dim+6) bytes per
-    row plus 8·dim per document, against 8·(2·dim+6) per row when dense.
-    Indexing gathers the rows into a reused scratch buffer, so `train` sees
-    the float64 values of the dense matrix; the returned array is
-    overwritten by the next index.
+    Row i is [Q[doc[i]] | N[i] / D[i] | S[i]]: Q holds one question embedding
+    per document, doc maps each row to its document, and the triplet
+    embedding stays the embedder's fraction. The local embedder's numerators
+    are signed bucket counts, so N takes the narrowest signed integer dtype
+    that holds every document's counts (widened when a later document needs
+    more). At dim 256 with int8 counts a row is about 320 bytes (dim + 8·8:
+    the counts, its denominator, STRUCTURAL_COLUMNS and doc), plus 8·dim per
+    document, against 8·(2·dim+6) = 4,144 when dense. The rows are exact:
+    indexing divides N by D as the embedder does, so `train` sees the
+    float64 values of the dense matrix. It gathers into a reused scratch
+    buffer, which the next index overwrites.
     """
 
     def __init__(self, sizes: list[int]):
         """Room for len(sizes) documents, document j with sizes[j] >= 1 rows."""
         self.doc = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
         self._start = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
-        self.Q = self.C = self._buf = None
+        self.D = np.empty(len(self.doc))
+        self.S = np.empty((len(self.doc), N_STRUCTURAL))
+        self.Q = self.N = self._buf = None
 
-    def fill(self, j: int, block: np.ndarray) -> None:
-        """Store document j's `build_features` rows. The first block sets the
-        widths, because an http embedder chooses its own dimension."""
+    def fill(self, j: int, q: np.ndarray, numerators: np.ndarray,
+             denominators: np.ndarray, S: np.ndarray) -> None:
+        """Store document j's `feature_parts`. The first document sets the
+        dimension, because an http embedder chooses its own."""
         if self.Q is None:
-            dim = (block.shape[1] - N_STRUCTURAL) // 2
-            self.Q = np.empty((len(self._start) - 1, dim))
-            self.C = np.empty((len(self.doc), block.shape[1] - dim))
-            self._buf = np.empty((0, block.shape[1]))
-        dim = self.Q.shape[1]
-        self.Q[j] = block[0, :dim]
-        self.C[self._start[j]:self._start[j + 1]] = block[:, dim:]
+            self.Q = np.empty((len(self._start) - 1, q.shape[0]))
+            self.N = np.empty((len(self.doc), q.shape[0]), dtype=numerators.dtype)
+            self._buf = np.empty((0, feature_dim(q.shape[0])))
+        if q.shape[0] != self.Q.shape[1]:
+            raise DimensionMismatch(f"document {j} has dim {q.shape[0]}, "
+                                    f"the first document {self.Q.shape[1]}")
+        dtype = np.promote_types(self.N.dtype, numerators.dtype)
+        if dtype != self.N.dtype:
+            self.N = self.N.astype(dtype)
+        rows = slice(self._start[j], self._start[j + 1])
+        self.Q[j] = q
+        self.N[rows] = numerators
+        self.D[rows] = denominators
+        self.S[rows] = S
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.doc), self.Q.shape[1] + self.C.shape[1]
+        return len(self.doc), self._buf.shape[1]
 
     def __getitem__(self, rows: np.ndarray) -> np.ndarray:
         if len(rows) > len(self._buf):
@@ -144,8 +181,12 @@ class GroupedFeatures:
         out = self._buf[:len(rows)]
         dim = self.Q.shape[1]
         out[:, :dim] = self.Q[self.doc[rows]]
-        out[:, dim:] = self.C[rows]
+        np.divide(self.N[rows], self.D[rows, None], out=out[:, dim:2 * dim])
+        out[:, 2 * dim:] = self.S[rows]
         return out
+
+
+_PARAMS = ("W1", "b1", "W2", "b2")
 
 
 @dataclass
@@ -230,21 +271,27 @@ def bce_loss(scores, labels, positive_weight: float = 1.0) -> float:
 
 
 def loss_and_gradients(m: MlpModel, X: np.ndarray, y: np.ndarray,
-                       positive_weight: float = 1.0):
-    """Backprop through the weighted BCE; returns (loss, grads per parameter)."""
+                       positive_weight: float = 1.0, out: dict | None = None):
+    """Backprop through the weighted BCE; returns (loss, grads per parameter).
+
+    The gradients are float64 arrays shaped like W1, b1, W2 and b2 (0-d),
+    written into `out`'s arrays when it is given, else into new ones.
+    """
     n = X.shape[0]
     Z1, H, s = _forward(m, X)
     loss = bce_loss(s, y, positive_weight)
+    if out is None:
+        out = {name: np.empty(np.shape(getattr(m, name))) for name in _PARAMS}
 
     # d(loss)/d(z2) for the weighted BCE, averaged over the batch.
     dz2 = ((1.0 - y) * s - positive_weight * y * (1.0 - s)) / n
-    dW2 = H.T @ dz2
-    db2 = float(dz2.sum())
+    np.matmul(H.T, dz2, out=out["W2"])
+    out["b2"][...] = dz2.sum()
     dH = np.outer(dz2, m.W2)
     dZ1 = dH * (Z1 > 0)
-    dW1 = dZ1.T @ X
-    db1 = dZ1.sum(axis=0)
-    return loss, {"W1": dW1, "b1": db1, "W2": dW2, "b2": db2}
+    np.matmul(dZ1.T, X, out=out["W1"])
+    dZ1.sum(axis=0, out=out["b1"])
+    return loss, out
 
 
 def train(X: np.ndarray | GroupedFeatures, y: np.ndarray,
@@ -266,13 +313,23 @@ def train(X: np.ndarray | GroupedFeatures, y: np.ndarray,
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     lr = cfg.learning_rate
-    model.b2 = np.asarray(model.b2)  # 0-d while training, so one update fits all
-    names = ("W1", "b1", "W2", "b2")
-    # Per parameter: first and second moment, and two scratch buffers. Every
-    # update runs in place, in the operation order of the textbook form
+    # The parameters, their gradients, first and second moments, and two
+    # scratch buffers are six flat buffers; each parameter is a view into the
+    # first, so one Adam step is 14 in-place calls over all four parameters,
+    # in the operation order of the textbook form
     # p - (lr * m1_hat) / (sqrt(m2_hat) + eps).
-    state = {name: tuple(np.zeros_like(getattr(model, name)) for _ in range(4))
-             for name in names}
+    shapes = [np.shape(getattr(model, name)) for name in _PARAMS]
+    sizes = [math.prod(shape) for shape in shapes]
+    p, g, m1, m2, a, b = (np.zeros(sum(sizes)) for _ in range(6))
+
+    def views(flat: np.ndarray) -> dict[str, np.ndarray]:
+        parts = np.split(flat, np.cumsum(sizes)[:-1])
+        return {name: part.reshape(shape) for name, part, shape in zip(_PARAMS, parts, shapes)}
+
+    for name, view in views(p).items():
+        view[...] = getattr(model, name)
+        setattr(model, name, view)  # b2 is 0-d while training
+    grads = views(g)
     step = 0
 
     history: list[float] = []
@@ -282,28 +339,25 @@ def train(X: np.ndarray | GroupedFeatures, y: np.ndarray,
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            loss, grads = loss_and_gradients(model, X[batch], y[batch],
-                                             cfg.positive_weight)
+            loss, _ = loss_and_gradients(model, X[batch], y[batch], cfg.positive_weight,
+                                         out=grads)
             epoch_loss += loss * len(batch)
             step += 1
             bias1, bias2 = 1 - beta1 ** step, 1 - beta2 ** step
-            for name in names:
-                p, g = getattr(model, name), grads[name]
-                m1, m2, a, b = state[name]
-                np.multiply(m1, beta1, out=m1)
-                np.multiply(g, 1 - beta1, out=a)
-                np.add(m1, a, out=m1)
-                np.multiply(m2, beta2, out=m2)
-                np.multiply(g, 1 - beta2, out=b)
-                np.multiply(b, g, out=b)
-                np.add(m2, b, out=m2)
-                np.divide(m1, bias1, out=a)
-                np.multiply(a, lr, out=a)
-                np.divide(m2, bias2, out=b)
-                np.sqrt(b, out=b)
-                np.add(b, eps, out=b)
-                np.divide(a, b, out=a)
-                np.subtract(p, a, out=p)
+            np.multiply(m1, beta1, out=m1)
+            np.multiply(g, 1 - beta1, out=a)
+            np.add(m1, a, out=m1)
+            np.multiply(m2, beta2, out=m2)
+            np.multiply(g, 1 - beta2, out=b)
+            np.multiply(b, g, out=b)
+            np.add(m2, b, out=m2)
+            np.divide(m1, bias1, out=a)
+            np.multiply(a, lr, out=a)
+            np.divide(m2, bias2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, eps, out=b)
+            np.divide(a, b, out=a)
+            np.subtract(p, a, out=p)
         history.append(epoch_loss / n)
     model.b2 = float(model.b2)
     return model, history

@@ -79,8 +79,8 @@ def test_cosine_dimension_mismatch():
         def embed(self, text):
             return self.question
 
-        def embed_many(self, texts):
-            return np.stack([self.triplet] * len(texts))
+        def embed_fractions(self, texts):
+            return np.stack([self.triplet] * len(texts)), np.ones(len(texts))
 
     question = QuestionRecord(text="x", gold_answer="x")
     triplets = [make_triplet("NET_REVENUE", Decimal(1), subject="x", source_doc="d")]

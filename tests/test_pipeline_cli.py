@@ -652,6 +652,31 @@ def test_overrides_check_value_types(tmp_path):
         assert cfg.chat.scramble is expected
 
 
+def test_cli_config_errors_print_one_line(tmp_path, capsys):
+    """A bad key, a bad value or an unreadable config file is a usage error:
+    one line on stderr and exit status 2, no traceback."""
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("{\"seed\": 1,")
+    a_list = tmp_path / "list.json"
+    a_list.write_text("[1]")
+    missing = tmp_path / "missing.json"
+    cases = [(["--set", "retriever_k=5"], "unknown config key: retriever_k"),
+             (["--set", "retriever.k=five"], "config key retriever.k needs int, got 'five'"),
+             (["--set", "retriever.k"], "--set expects key=value, got 'retriever.k'"),
+             (["--config", str(missing)], f"No such file or directory: '{missing}'"),
+             (["--config", str(not_json)], f"config file {not_json} is not JSON: "),
+             (["--config", str(a_list)], f"config file {a_list} holds no JSON object")]
+    for extra, message in cases:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["ingest", "--output-dir", str(tmp_path / "out"), *extra])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: finkgqa") and "Traceback" not in err
+        last = err.rstrip("\n").splitlines()[-1]
+        assert last.startswith("finkgqa: error: ") and message in last, (extra, last)
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_config_tables_list_every_accepted_key():
     """The README documents exactly the 35 keys `apply_overrides` accepts."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

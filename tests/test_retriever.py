@@ -148,8 +148,8 @@ def test_build_features_rejects_mixed_dimensions():
         def embed(self, text):
             return LocalHashEmbedder(dim=32).embed(text)
 
-        def embed_many(self, texts):
-            return LocalHashEmbedder(dim=64).embed_many(texts)
+        def embed_fractions(self, texts):
+            return LocalHashEmbedder(dim=64).embed_fractions(texts)
 
     with pytest.raises(DimensionMismatch):
         build_features(_question(), [_triplet()], Mixed())
@@ -165,9 +165,9 @@ class _FixedVectors:
     def embed(self, text):
         return self.question_vec
 
-    def embed_many(self, texts):
+    def embed_fractions(self, texts):
         assert len(texts) == len(self.triplet_rows)
-        return self.triplet_rows
+        return self.triplet_rows, np.ones(len(texts))
 
 
 def _cos_column(question, triplets, provider):

@@ -1,24 +1,32 @@
-"""The retriever's training set: each question's embedding is stored once.
+"""The retriever's training set: each question's embedding is stored once,
+and each triplet embedding as the embedder's fraction.
 
 `cmd_train_retriever` keeps the training pairs as a `GroupedFeatures`
-(question embeddings, a row -> document index, and the rest of each row).
-These tests hold it to the dense matrix it replaces: the same rows bit for
-bit, the same model file, and a peak well below that matrix's size. Each
-document's parsed triplets are freed once its rows are filled.
+(question embeddings, a row -> document index, each triplet embedding's
+numerators and denominator, and the structural columns). These tests hold it
+to the dense matrix it replaces: the same rows bit for bit, the same model
+file, and a peak well below that matrix's size. Each document's parsed
+triplets are freed once its rows are filled.
 """
 
 import gc
+import hashlib
 import json
 import random
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from finkgqa import kg_schema, pipeline as pl, retriever
+from finkgqa.embedding import DimensionMismatch, LocalHashEmbedder, RemoteEmbedder
 from finkgqa.kg_schema import parse_triplets_file
+from finkgqa.llm_client import ProviderConfig
+from finkgqa.preprocess import QuestionRecord
 
 METRICS = ("net revenue", "operating expenses", "interest expense", "cost of sales",
            "net income", "long-term debt", "capital expenditures", "inventories",
@@ -99,33 +107,132 @@ def test_train_retriever_writes_the_dense_matrix_model(tmp_path):
     assert pl.model_path(cfg).read_bytes() == (tmp_path / "dense_model.json").read_bytes()
 
 
-@settings(max_examples=60, deadline=None)
-@given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=8),
-       dim=st.integers(1, 6), batch_size=st.integers(1, 16), seed=st.integers(0, 2**16))
-@example(sizes=[1, 7, 1, 3], dim=4, batch_size=5, seed=0)  # 12 % 5 != 0
-def test_grouped_rows_equal_dense_rows(sizes, dim, batch_size, seed):
-    rng = np.random.default_rng(seed)
-    width = retriever.feature_dim(dim)
-    blocks = []  # per-document blocks shaped like `build_features` output
-    for size in sizes:
-        block = rng.normal(size=(size, width))
-        block[:, :dim] = rng.normal(size=dim)
-        blocks.append(block)
-    dense = np.concatenate(blocks)
-    X = retriever.GroupedFeatures(sizes)
-    for j, block in enumerate(blocks):
-        X.fill(j, block)
+def _assert_batches_equal(X: retriever.GroupedFeatures, dense: np.ndarray,
+                          batch_size: int, rng: np.random.Generator) -> None:
+    """Every mini-batch, as `train` draws them, gathers the dense rows' bytes."""
     assert X.shape == dense.shape
-    order = rng.permutation(len(dense))  # mini-batches as `train` draws them
+    order = rng.permutation(len(dense))
     for start in range(0, len(order), batch_size):
         batch = order[start:start + batch_size]
         rows = X[batch]
-        assert rows.dtype == dense.dtype and rows.shape == (len(batch), width)
+        assert rows.dtype == dense.dtype and rows.shape == (len(batch), dense.shape[1])
         assert rows.tobytes() == dense[batch].tobytes()
 
 
-def test_train_retriever_peak_is_below_twice_the_dense_matrix(tmp_path):
-    cfg = _config(tmp_path, _write_corpus(tmp_path / "train.json", n_docs=20), epochs=1)
+NUMERATOR_DTYPES = ("int8", "int16", "int32", "float64")
+
+
+@settings(deadline=None)
+@given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=8),
+       dim=st.integers(1, 6), batch_size=st.integers(1, 16), seed=st.integers(0, 2**16),
+       dtypes=st.lists(st.sampled_from(NUMERATOR_DTYPES), min_size=8, max_size=8))
+@example(sizes=[1, 7, 1, 3], dim=4, batch_size=5, seed=0,  # 12 % 5 != 0
+         dtypes=["int8", "int16", "int8", "float64"] * 2)
+def test_grouped_rows_equal_dense_rows(sizes, dim, batch_size, seed, dtypes):
+    """Document j's numerators take dtypes[j], over their full range, so the
+    store widens as later documents need."""
+    rng = np.random.default_rng(seed)
+    parts, blocks = [], []  # per document: `feature_parts` output, and its dense rows
+    for size, dtype in zip(sizes, dtypes):
+        q = rng.normal(size=dim)
+        if dtype == "float64":  # http-like: unit rows over 1.0
+            numerators, denominators = rng.normal(size=(size, dim)), np.ones(size)
+        else:
+            info = np.iinfo(dtype)
+            numerators = rng.integers(info.min, info.max, size=(size, dim), dtype=dtype,
+                                      endpoint=True)
+            denominators = rng.uniform(0.5, 2.0 ** 20, size=size)
+        S = rng.normal(size=(size, retriever.N_STRUCTURAL))
+        parts.append((q, numerators, denominators, S))
+        blocks.append(np.hstack([np.tile(q, (size, 1)),
+                                 numerators.astype(np.float64) / denominators[:, None], S]))
+    X = retriever.GroupedFeatures(sizes)
+    for j, part in enumerate(parts):
+        X.fill(j, *part)
+    assert X.N.dtype == np.result_type(*dtypes[:len(sizes)])
+    _assert_batches_equal(X, np.concatenate(blocks), batch_size, rng)
+
+
+def _piece_triplet(text: str, doc: str) -> kg_schema.Triplet:
+    """A triplet whose embedded text is `text`."""
+    return kg_schema.make_triplet("NET_REVENUE", Decimal(5), subject=text, relation="",
+                                  obj="", source_doc=doc)
+
+
+def _rows_from_provider(provider, documents: list[list[str]],
+                        dim: int) -> retriever.GroupedFeatures:
+    """Grouped rows of `provider`'s `feature_parts` equal its `build_features`
+    rows, for one question per document against triplets with these texts."""
+    questions = [QuestionRecord(text=f"what was net revenue of corp-{j} in 2019?",
+                                gold_answer="5") for j in range(len(documents))]
+    triplets = [[_piece_triplet(text, f"corp-{j}") for text in texts]
+                for j, texts in enumerate(documents)]
+    dense = np.concatenate([retriever.build_features(q, ts, provider)
+                            for q, ts in zip(questions, triplets)])
+    assert dense.shape[1] == retriever.feature_dim(dim)
+    X = retriever.GroupedFeatures([len(texts) for texts in documents])
+    for j, (q, ts) in enumerate(zip(questions, triplets)):
+        X.fill(j, *retriever.feature_parts(q, ts, provider))
+    for batch_size in (1, 3, 64):
+        _assert_batches_equal(X, dense, batch_size, np.random.default_rng(batch_size))
+    return X
+
+
+# At dim 16 "c" and "7" cancel to a zero bag (tests/test_embedding.py's CANCELLING).
+CANCELLING = "c 7"
+
+
+def test_grouped_rows_from_the_local_embedder_equal_dense_rows():
+    """Counts past int8 and past int16 widen the store; a zero bag is e0 over 1.0."""
+    documents = [["net revenue 2019", "operating expenses 2018 5829 million"],
+                 [CANCELLING, " ".join(["aa"] * 200), "interest expense 2017"],
+                 [" ".join(["ab"] * 40_000), CANCELLING],
+                 ["cost of sales 2019"]]
+    embedder = LocalHashEmbedder(dim=16)
+    numerators, denominators = embedder.embed_fractions([CANCELLING])
+    assert numerators.tolist() == [[1] + [0] * 15] and denominators.tolist() == [1.0]
+    for texts, dtype in zip(documents, ("int8", "int16", "int32", "int8")):
+        assert embedder.embed_fractions(texts)[0].dtype == dtype
+    X = _rows_from_provider(embedder, documents, dim=16)
+    assert X.N.dtype == np.int32
+
+
+def _remote_embedder(width) -> RemoteEmbedder:
+    """An http embedder whose server answers each text with `width()` floats
+    drawn from the text's hash."""
+    def transport(url, payload, headers, timeout):
+        seed = int.from_bytes(hashlib.blake2b(payload["input"].encode()).digest()[:8], "little")
+        vec = np.random.default_rng(seed).normal(size=width())
+        return 200, {"data": [{"embedding": vec.tolist()}]}
+
+    cfg = ProviderConfig(kind="http", endpoint="http://embeddings.invalid", model="m")
+    return RemoteEmbedder(cfg, transport=transport)
+
+
+def test_grouped_rows_from_an_http_embedder_equal_dense_rows():
+    documents = [["net revenue 2019", "operating expenses 2018"], [CANCELLING],
+                 ["interest expense 2017", "cost of sales", "eps 1.25"]]
+    X = _rows_from_provider(_remote_embedder(lambda: 24), documents, dim=24)
+    assert X.N.dtype == np.float64
+
+
+def test_grouped_features_reject_a_document_of_another_width():
+    """An http embedder whose dimension changes between documents."""
+    width = [24]
+    embedder = _remote_embedder(lambda: width[0])
+    question = QuestionRecord(text="what was net revenue in 2019?", gold_answer="5")
+    X = retriever.GroupedFeatures([1, 1])
+    X.fill(0, *retriever.feature_parts(question, [_piece_triplet("a b", "d0")], embedder))
+    width[0] = 32
+    parts = retriever.feature_parts(QuestionRecord(text="and in 2018?", gold_answer="4"),
+                                    [_piece_triplet("c d", "d1")], embedder)
+    with pytest.raises(DimensionMismatch):
+        X.fill(1, *parts)
+
+
+def _train_retriever_peak(tmp_path, n_docs: int) -> float:
+    """tracemalloc's peak during `cmd_train_retriever`, over the dense matrix's bytes."""
+    cfg = _config(tmp_path, _write_corpus(tmp_path / "train.json", n_docs=n_docs), epochs=1)
     pl.cmd_ingest(cfg)
     pl.cmd_extract(cfg)
     tracemalloc.start()
@@ -134,9 +241,19 @@ def test_train_retriever_peak_is_below_twice_the_dense_matrix(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    dense_bytes = pairs * retriever.feature_dim(cfg.embeddings.dim) * 8
-    assert pairs > 1500
-    assert peak < 2 * dense_bytes, f"peak {peak / dense_bytes:.2f}x the dense matrix"
+    assert pairs > 75 * n_docs
+    return peak / (pairs * retriever.feature_dim(cfg.embeddings.dim) * 8)
+
+
+def test_train_retriever_peak_is_below_twice_the_dense_matrix(tmp_path):
+    ratio = _train_retriever_peak(tmp_path, n_docs=20)
+    assert ratio < 2, f"peak {ratio:.2f}x the dense matrix"
+
+
+def test_train_retriever_peak_is_below_the_dense_matrix(tmp_path):
+    """The packed triplet embeddings leave the dense matrix's bytes unspent."""
+    ratio = _train_retriever_peak(tmp_path, n_docs=20)
+    assert ratio < 0.8, f"peak {ratio:.2f}x the dense matrix"
 
 
 def _live_triplets() -> int:
