@@ -96,7 +96,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "ingest":
         counts = pipeline.cmd_ingest(cfg)
-        print(json.dumps({"ingested": counts}))
+        print(json.dumps(counts))
+        if counts["n_errors"]:  # the document store is written, but records were skipped
+            return 1
     elif args.command == "extract":
         counts = pipeline.cmd_extract(cfg)
         print(json.dumps(counts))

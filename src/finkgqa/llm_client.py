@@ -15,9 +15,10 @@ import os
 import re
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TextIO, TypeVar
 
 logger = logging.getLogger(__name__)
 
@@ -55,23 +56,47 @@ class ProviderConfig:
     scramble: bool = False  # mock chat only
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write `text` to `path` through a temp name per writer, then rename it into place.
+@contextmanager
+def open_atomic(path: Path) -> Iterator[TextIO]:
+    """A text file to write `path` through, line by line, under a temp name per writer.
 
-    Writers in other threads or processes may write the same path at once:
-    each renames a complete file of its own, so readers never see a partial one.
+    The file is renamed into place when the block ends, and deleted if it
+    raises, so the old `path` stays. Writers in other threads or processes may
+    write the same path at once: each renames a complete file of its own, so
+    readers never see a partial one.
     """
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        f = open(tmp, "w", encoding="utf-8")
     except FileNotFoundError:  # only the first write into a new directory pays for mkdir
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text, encoding="utf-8")
+        f = open(tmp, "w", encoding="utf-8")
+    try:
+        with f:
+            yield f
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Write `text` to `path` through `open_atomic`."""
+    with open_atomic(path) as f:
+        f.write(text)
+
+
+def provider_identity(cfg: ProviderConfig) -> dict:
+    """What decides a provider's reply besides the request payload: its kind and,
+    for `http`, the endpoint that answers. A mock adds what its replies read."""
+    if cfg.kind == "http":
+        return {"kind": cfg.kind, "endpoint": cfg.endpoint.rstrip("/")}
+    return {"kind": cfg.kind}
+
+
 class ResponseCache:
-    """One file per request hash, holding request, response, and timestamp."""
+    """One file per hash of provider identity and request, holding request, response,
+    and timestamp."""
 
     def __init__(self, cache_dir: str | Path | None):
         self.dir = Path(cache_dir) if cache_dir else None
@@ -79,8 +104,10 @@ class ResponseCache:
             self.dir.mkdir(parents=True, exist_ok=True)
 
     @staticmethod
-    def key_for(payload: dict) -> str:
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+    def key_for(payload: dict, provider: dict | None = None) -> str:
+        """The entry name of `payload` sent to the provider `provider` identifies."""
+        blob = json.dumps({"provider": provider, "request": payload},
+                          sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
     def get(self, key: str) -> dict | None:
@@ -125,7 +152,9 @@ class ProviderClient:
     """
 
     def __init__(self, cfg: ProviderConfig, cache: ResponseCache | None = None,
-                 transport: Transport | None = None):
+                 transport: Transport | None = None, identity: dict | None = None):
+        """`identity` is hashed into every cache key, not sent; it defaults to
+        `provider_identity(cfg)`."""
         if not 0 <= cfg.temperature <= 2:
             raise ValueError(f"temperature {cfg.temperature} outside [0, 2]")
         if cfg.max_tokens < 1:
@@ -135,6 +164,7 @@ class ProviderClient:
         self.cfg = cfg
         self.cache = cache or ResponseCache(None)
         self.transport = transport or http_transport
+        self.identity = identity or provider_identity(cfg)
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -144,11 +174,12 @@ class ProviderClient:
         return headers
 
     def _post(self, suffix: str, payload: dict, parse: Callable[[dict], T]) -> T:
-        """POST `payload` to the endpoint + `suffix`; an identical payload hits the cache.
+        """POST `payload` to the endpoint + `suffix`; an identical payload to a provider
+        of the same identity hits the cache.
 
         `parse(body)` returns the result or raises on a body it rejects.
         """
-        cache_key = ResponseCache.key_for(payload)
+        cache_key = ResponseCache.key_for(payload, self.identity)
         cached = self.cache.get(cache_key)
         if cached is not None:
             return parse(cached)

@@ -9,6 +9,7 @@ deterministic: identical inputs produce byte-identical artifacts.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import logging
 import os
@@ -16,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,9 +27,10 @@ from .evaluator import EvalRecord
 from .extraction import DocumentExtractor
 from .kg_schema import parse_triplets_file, serialize_triplets
 from .llm_client import (ChatClient, LlmTruncated, LlmUnavailable, MockChatTransport,
-                         ProviderConfig, ResponseCache, write_atomic)
-from .preprocess import (FinDocument, assemble_text, document_record, load_split,
-                         parse_record)
+                         ProviderConfig, ResponseCache, open_atomic, provider_identity,
+                         write_atomic)
+from .preprocess import (FinDocument, assemble_text, document_record, iter_split,
+                         load_split, parse_record)
 
 logger = logging.getLogger(__name__)
 
@@ -151,6 +154,19 @@ def _mock_answer_key(path: str) -> dict[str, str]:
     return _read_answer_key(path, st.st_mtime_ns, st.st_size)
 
 
+def _answer_key_sha256(path: str) -> str:
+    if not path:
+        return ""
+    st = os.stat(path)
+    return _file_sha256(path, st.st_mtime_ns, st.st_size)
+
+
+@functools.lru_cache(maxsize=4)
+def _file_sha256(path: str, mtime_ns: int, size: int) -> str:
+    """The file's sha256, read once per version as `_read_answer_key` reads it."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 @functools.lru_cache(maxsize=4)
 def _read_answer_key(path: str, mtime_ns: int, size: int) -> dict[str, str]:
     """The question -> gold answer key of a raw corpus file, as `ingest` parses
@@ -160,16 +176,23 @@ def _read_answer_key(path: str, mtime_ns: int, size: int) -> dict[str, str]:
     return {doc.question.text: doc.question.gold_answer for doc in load_split(path)}
 
 
-def build_chat_client(provider: ProviderConfig, cache_dir: str | None) -> ChatClient:
-    # An empty model is sent as "mock-chat", which every cached request keys on.
-    cfg = replace(provider, model=provider.model or "mock-chat")
+def build_chat_client(provider: ProviderConfig, cache_dir: str | None,
+                      role: str = "chat") -> ChatClient:
+    """The client of `providers.<role>`. Its cache entries are keyed on what decides
+    the replies: for the mock, `scramble` and the content of its answer key."""
     cache = ResponseCache(cache_dir)
     if provider.kind == "mock":
+        # An empty model is sent as "mock-chat", which every cached request keys on.
+        cfg = replace(provider, model=provider.model or "mock-chat")
         transport = MockChatTransport(answer_key=_mock_answer_key(provider.answer_key),
                                       scramble=provider.scramble)
-        return ChatClient(cfg, cache=cache, transport=transport)
+        identity = {**provider_identity(cfg), "scramble": provider.scramble,
+                    "answer_key": _answer_key_sha256(provider.answer_key)}
+        return ChatClient(cfg, cache=cache, transport=transport, identity=identity)
     if provider.kind == "http":
-        return ChatClient(cfg, cache=cache)
+        if not provider.model:
+            raise ValueError(f"providers.{role}.model must name the model of an http provider")
+        return ChatClient(provider, cache=cache)
     raise ValueError(f"unsupported chat provider kind: {provider.kind}")
 
 
@@ -225,8 +248,14 @@ def _configured_splits(cfg: PipelineConfig) -> list[str]:
 
 
 def _load_documents(cfg: PipelineConfig, split: str) -> list[FinDocument]:
-    with open(_require(documents_path(cfg, split), "ingest"), encoding="utf-8") as f:
-        return [parse_record(line) for line in f]
+    return list(_iter_documents(_require(documents_path(cfg, split), "ingest")))
+
+
+def _iter_documents(store: Path) -> Iterator[FinDocument]:
+    """A document store's documents, parsed one line at a time."""
+    with open(store, encoding="utf-8") as f:
+        for line in f:
+            yield parse_record(line)
 
 
 def _load_triplets(cfg: PipelineConfig, split: str) -> dict[str, list]:
@@ -248,33 +277,47 @@ def _require(path: Path, producer: str) -> Path:
 # ---------------------------------------------------------------------------
 # Commands
 
-def _map_requests(fn, items: list, provider: ProviderConfig | None,
-                  max_inflight: int) -> list:
-    """`[fn(item) for item in items]`, where each call may send requests to `provider`.
+def _map_requests(fn, items: Iterable, provider: ProviderConfig | None,
+                  max_inflight: int) -> Iterator:
+    """`map(fn, items)`, where each call may send requests to `provider`.
 
     Calls to an `http` provider wait on the network, so `max_inflight` of them
-    run at once on worker threads. An in-process provider is CPU-bound: on the
-    workers its calls would only contend for the interpreter lock.
+    run at once on worker threads; the pool takes every item when the first
+    result is asked for. An in-process provider is CPU-bound: on the workers
+    its calls would only contend for the interpreter lock, so they run on the
+    caller, one item at a time as the results are asked for.
     """
     if provider is None or provider.kind != "http":
-        return [fn(item) for item in items]
+        return map(fn, items)
+    return _pool_map(fn, items, max_inflight)
+
+
+def _pool_map(fn, items: Iterable, max_inflight: int) -> Iterator:
     with ThreadPoolExecutor(max_workers=max(max_inflight, 1)) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)
 
 
-def cmd_ingest(cfg: PipelineConfig) -> dict[str, int]:
-    """Parse every configured split into the document store every later stage reads."""
-    counts = {}
+def cmd_ingest(cfg: PipelineConfig) -> dict:
+    """Parse every configured split into the document store every later stage reads.
+
+    Returns the document count per split and the number of records skipped
+    as malformed or as a repeated id.
+    """
+    counts, n_errors = {}, 0
     for split in _configured_splits(cfg):
         path = cfg.data[split]
         if not Path(path).exists():
             raise MissingArtifact(f"dataset file for split {split!r} not found at {path!r}")
-        docs = load_split(path)
-        write_atomic(documents_path(cfg, split),
-                     "".join(json.dumps(document_record(doc)) + "\n" for doc in docs))
-        counts[split] = len(docs)
-        logger.info("ingested %d documents for split %s", len(docs), split)
-    return counts
+        skipped: list[int] = []
+        counts[split] = 0
+        with open_atomic(documents_path(cfg, split)) as store:
+            for doc in iter_split(path, skipped):
+                store.write(json.dumps(document_record(doc)) + "\n")
+                counts[split] += 1
+        n_errors += len(skipped)
+        logger.info("ingested %d documents for split %s, skipped %d records",
+                    counts[split], split, len(skipped))
+    return {"ingested": counts, "n_errors": n_errors}
 
 
 def cmd_extract(cfg: PipelineConfig) -> dict:
@@ -285,34 +328,38 @@ def cmd_extract(cfg: PipelineConfig) -> dict:
     """
     counts, n_errors = {}, 0
     for split in _configured_splits(cfg):
-        docs = _load_documents(cfg, split)
-        results = []  # the table backend rejects nothing, so its rejected file is empty
+        docs = _iter_documents(_require(documents_path(cfg, split), "ingest"))
         if cfg.extraction_backend == "table":
-            per_doc = [extraction.extract_table_triplets(doc) for doc in docs]
+            # the table backend rejects nothing, so its rejected file is empty
+            results = (extraction.ExtractionResult(
+                doc.id, tuple(extraction.extract_table_triplets(doc))) for doc in docs)
         else:
             client = build_chat_client(cfg.chat, cfg.cache_dir)
             extractor = DocumentExtractor(client, asset_path=cfg.prompt_asset or None)
             results = _map_requests(extractor.extract, docs, cfg.chat, cfg.max_inflight)
-            per_doc = [r.triplets for r in results]
-        audit_lines, failed = [], 0
-        for result in results:
-            for fragment, violations in result.rejected:
-                audit_lines.append(json.dumps({
-                    "doc_id": result.doc_id,
-                    "fragment": fragment,
-                    "violations": list(violations),
-                }))
-                # a chunk whose request failed, or whose reply stayed cut at max_tokens
-                failed += violations in (("LlmUnavailable",), ("LlmTruncated",))
-        write_atomic(rejected_path(cfg, split), "".join(l + "\n" for l in audit_lines))
-        if audit_lines:
+        n_triplets = n_rejected = failed = 0
+        # Each document's lines are written as it finishes; an exception leaves
+        # both earlier files as they were.
+        with open_atomic(triplets_path(cfg, split)) as store, \
+                open_atomic(rejected_path(cfg, split)) as audit:
+            for result in results:
+                store.write(serialize_triplets(list(result.triplets)))
+                n_triplets += len(result.triplets)
+                for fragment, violations in result.rejected:
+                    audit.write(json.dumps({
+                        "doc_id": result.doc_id,
+                        "fragment": fragment,
+                        "violations": list(violations),
+                    }) + "\n")
+                    n_rejected += 1
+                    # a chunk whose request failed, or whose reply stayed cut at max_tokens
+                    failed += violations in (("LlmUnavailable",), ("LlmTruncated",))
+        if n_rejected:
             logger.info("split %s: %d fragments rejected, %d of them by a failed "
-                        "request", split, len(audit_lines), failed)
+                        "request", split, n_rejected, failed)
         n_errors += failed
-        triplets = [t for group in per_doc for t in group]
-        write_atomic(triplets_path(cfg, split), serialize_triplets(triplets))
-        counts[split] = len(triplets)
-        logger.info("extracted %d triplets for split %s", len(triplets), split)
+        counts[split] = n_triplets
+        logger.info("extracted %d triplets for split %s", n_triplets, split)
     return {"triplets": counts, "n_errors": n_errors}
 
 
@@ -324,7 +371,8 @@ _MANIFEST_LINE = '{"doc_id": %s, "triplet_id": %s, "label": %d}\n'
 def cmd_train_retriever(cfg: PipelineConfig) -> dict:
     """Label train-split triplets from gold supporting facts and fit the filter."""
     by_doc = _load_triplets(cfg, "train")
-    docs = [doc for doc in _load_documents(cfg, "train") if doc.id in by_doc]
+    docs = [doc for doc in _iter_documents(_require(documents_path(cfg, "train"), "ingest"))
+            if doc.id in by_doc]
     if not docs:
         raise MissingArtifact("no training pairs; run `extract` on the train split first")
 
@@ -352,7 +400,8 @@ def cmd_train_retriever(cfg: PipelineConfig) -> dict:
     )
     model, history = retriever.train(X, y, train_cfg)
     retriever.save_model(model, model_path(cfg))
-    write_atomic(manifest_path(cfg), "".join(manifest))
+    with open_atomic(manifest_path(cfg)) as f:
+        f.writelines(manifest)
     logger.info("trained retriever on %d pairs (%d positive); final loss %.4f",
                 len(y), n_pos, history[-1])
     return {"pairs": len(y), "positives": n_pos, "final_loss": history[-1]}
@@ -376,21 +425,23 @@ def cmd_answer(cfg: PipelineConfig, split: str, mode: str) -> dict[str, int]:
         model = retriever.load_model(_require(model_path(cfg), "train-retriever"))
         embedder = build_embedder(cfg.embeddings, cfg.cache_dir)
 
-    def prepare(doc: FinDocument) -> tuple[str, list[str], str | None]:
-        """The question's prompt, its retrieved triplet ids, and the error that stopped it."""
+    def prepare(doc: FinDocument) -> tuple[str, str, str, list[str], str | None]:
+        """The document's id and question, the question's prompt, its retrieved
+        triplet ids, and the error that stopped it."""
+        q = doc.question
         if mode == "vanilla":
-            return reasoner.build_text_prompt(doc.question, assemble_text(doc)), [], None
+            return doc.id, q.text, reasoner.build_text_prompt(q, assemble_text(doc)), [], None
         try:
-            picked = retriever.filter_topk(doc.question, by_doc.get(doc.id, []), model,
-                                           embedder, cfg.retriever_k)
+            picked = retriever.filter_topk(q, by_doc.get(doc.id, []), model, embedder,
+                                           cfg.retriever_k)
         except LlmUnavailable as exc:  # an embeddings request failed
-            return "", [], str(exc)
+            return doc.id, q.text, "", [], str(exc)
         facts = [t for t, _ in picked]
-        return (reasoner.build_reasoning_prompt(doc.question, facts),
+        return (doc.id, q.text, reasoner.build_reasoning_prompt(q, facts),
                 [t.triplet_id for t in facts], None)
 
     def request(prepared: tuple) -> tuple[reasoner.Answer, str | None]:
-        prompt, _, error = prepared
+        _, _, prompt, _, error = prepared
         if error is None:
             try:
                 if mode == "vanilla":
@@ -400,58 +451,58 @@ def cmd_answer(cfg: PipelineConfig, split: str, mode: str) -> dict[str, int]:
                 error = str(exc)
         return reasoner.Answer(raw_text=""), error
 
-    # Only kg mode's retrieval sends embeddings requests.
-    prepared = _map_requests(prepare, docs, cfg.embeddings if mode == "kg" else None,
-                             cfg.max_inflight)
-    replies = _map_requests(request, prepared, cfg.chat, cfg.max_inflight)
+    # Every prompt is built before the first request. Only kg mode's retrieval
+    # sends embeddings requests.
+    prepared = list(_map_requests(prepare, docs, cfg.embeddings if mode == "kg" else None,
+                                  cfg.max_inflight))
+    del docs  # the prepared tuples hold all that the requests and the lines need
+    replies = list(_map_requests(request, prepared, cfg.chat, cfg.max_inflight))
 
-    lines = []
-    for doc, (prompt, ids, _), (answer, error) in zip(docs, prepared, replies):
-        entry = {
-            "doc_id": doc.id,
-            "question": doc.question.text,
-            "answer": answer.raw_text,
-            "kind": answer.kind,
-            "fallback_used": answer.fallback_used,
-            "retrieved": ids,
-            "prompt": prompt,
-        }
-        if error is not None:
-            entry["error"] = error
-            logger.warning("%s/%s: no answer for %s: %s", split, mode, doc.id, error)
-        lines.append(json.dumps(entry) + "\n")
-    write_atomic(predictions_path(cfg, split, mode), "".join(lines))
+    with open_atomic(predictions_path(cfg, split, mode)) as f:
+        for (doc_id, question, prompt, ids, _), (answer, error) in zip(prepared, replies):
+            entry = {
+                "doc_id": doc_id,
+                "question": question,
+                "answer": answer.raw_text,
+                "kind": answer.kind,
+                "fallback_used": answer.fallback_used,
+                "retrieved": ids,
+                "prompt": prompt,
+            }
+            if error is not None:
+                entry["error"] = error
+                logger.warning("%s/%s: no answer for %s: %s", split, mode, doc_id, error)
+            f.write(json.dumps(entry) + "\n")
     n_errors = sum(1 for _, error in replies if error is not None)
     logger.info("answered %d of %d questions (%s, %s mode)",
-                len(lines) - n_errors, len(lines), split, mode)
-    return {"answered": len(lines) - n_errors, "n_errors": n_errors}
+                len(replies) - n_errors, len(replies), split, mode)
+    return {"answered": len(replies) - n_errors, "n_errors": n_errors}
 
 
 def cmd_evaluate(cfg: PipelineConfig, split: str, mode: str) -> dict:
     """Judge the first prediction for each split document against its gold
     answer, and write verdicts plus a summary."""
     pred_file = _require(predictions_path(cfg, split, mode), "answer")
-    docs = _load_documents(cfg, split)
-    ids = {doc.id for doc in docs}
-    lines = pred_file.read_text(encoding="utf-8").splitlines()
-    entries: dict[str, dict] = {}
-    for line in lines:
-        try:
-            entry = json.loads(line)
-            if entry["doc_id"] in ids:  # a split document's id is a string
-                entries.setdefault(entry["doc_id"], entry)
-        except (ValueError, TypeError, KeyError):  # not an object with a doc_id
-            continue
-    n_missing, n_unscored = len(docs) - len(entries), len(lines) - len(entries)
-    if n_missing or n_unscored:
-        logger.warning("%s/%s: %d of %d prediction lines not scored (repeated, unknown id or "
-                       "malformed); %d of %d documents have none and score MISSING", split,
-                       mode, n_unscored, len(lines), n_missing, len(docs))
+    store = _require(documents_path(cfg, split), "ingest")
+    # Each id's first line, as (answer, whether its request failed); the rest is unused.
+    first: dict[str, tuple[str, bool]] = {}
+    n_lines = 0
+    with open(pred_file, encoding="utf-8") as f:
+        for text in f:
+            for line in text.splitlines():  # the line breaks of str.splitlines
+                n_lines += 1
+                try:
+                    entry = json.loads(line)
+                    if entry["doc_id"] not in first:  # only a split document's is looked up
+                        first[entry["doc_id"]] = (str(entry.get("answer", "")),
+                                                  "error" in entry)
+                except (ValueError, TypeError, KeyError):  # not an object with a doc_id
+                    continue
 
-    records = []
-    for doc in docs:
-        entry = entries.get(doc.id, {})
-        raw_answer = str(entry.get("answer", ""))
+    records, ids = [], set()
+    for doc in _iter_documents(store):
+        ids.add(doc.id)
+        raw_answer, failed = first.get(doc.id, ("", False))
         record = EvalRecord(
             doc_id=doc.id,
             predicted=(reasoner.parse_answer(f"ANSWER: {raw_answer}")
@@ -459,13 +510,19 @@ def cmd_evaluate(cfg: PipelineConfig, split: str, mode: str) -> dict:
             gold=doc.question.gold_answer,
             gold_exe=doc.question.gold_exe_answer,
         )
-        if not entry or "error" in entry:  # no answer, or its request failed: nothing to judge
-            record.verdict, record.judge_used = "ERROR" if entry else "MISSING", "NONE"
+        if doc.id not in first or failed:  # no answer, or its request failed: nothing to judge
+            record.verdict, record.judge_used = "ERROR" if failed else "MISSING", "NONE"
         records.append(record)
+    n_scored = len(ids & first.keys())
+    n_missing, n_unscored = len(records) - n_scored, n_lines - n_scored
+    if n_missing or n_unscored:
+        logger.warning("%s/%s: %d of %d prediction lines not scored (repeated, unknown id or "
+                       "malformed); %d of %d documents have none and score MISSING", split,
+                       mode, n_unscored, n_lines, n_missing, len(records))
 
     judge_client = None
     if cfg.judge.kind != "none":  # an unsupported kind fails in build_chat_client
-        judge_client = build_chat_client(cfg.judge, cfg.cache_dir)
+        judge_client = build_chat_client(cfg.judge, cfg.cache_dir, role="judge")
     accuracy, judged = evaluator.evaluate_split(records, judge_client=judge_client)
     write_atomic(verdicts_path(cfg, split, mode), evaluator.verdicts_jsonl(judged))
     summary = {

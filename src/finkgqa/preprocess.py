@@ -14,6 +14,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
+from typing import Iterator
 
 logger = logging.getLogger(__name__)
 
@@ -159,28 +160,40 @@ def document_record(doc: FinDocument) -> dict:
                    "program": q.gold_program, "gold_inds": q.gold_inds}}
 
 
-def load_split(path: str | Path) -> list[FinDocument]:
-    """Load a JSON-array split file, skipping malformed records with a log line."""
+def iter_split(path: str | Path, skipped: list[int] | None = None) -> Iterator[FinDocument]:
+    """Parse a JSON-array split file one record at a time, skipping malformed
+    records and repeated ids with a log line; each skipped record's index is
+    appended to `skipped`.
+
+    Each raw record is freed once it is parsed, so the file's records and
+    their documents are not all held at once.
+    """
     with open(path, encoding="utf-8") as f:
         raw = json.load(f)
     if not isinstance(raw, list):
         raise ValueError(f"{path} holds a {type(raw).__name__}, not a JSON array of records")
-    docs: list[FinDocument] = []
+    raw.reverse()  # popped from the end, in file order
     seen: set[str] = set()
-    for i, record in enumerate(raw):
+    for i in range(len(raw)):
+        record = raw.pop()
         try:
             if not isinstance(record, dict):
                 raise MalformedRecord(f"a {type(record).__name__}, not an object")
             doc = parse_record(record)
+            if doc.id in seen:
+                raise MalformedRecord(f"duplicate id {doc.id}")
         except MalformedRecord as exc:
             logger.warning("skipping record %d of %s: %s", i, path, exc)
-            continue
-        if doc.id in seen:
-            logger.warning("skipping record %d of %s: duplicate id %s", i, path, doc.id)
+            if skipped is not None:
+                skipped.append(i)
             continue
         seen.add(doc.id)
-        docs.append(doc)
-    return docs
+        yield doc
+
+
+def load_split(path: str | Path) -> list[FinDocument]:
+    """Every document `iter_split` yields."""
+    return list(iter_split(path))
 
 
 _ACRONYM_RE = re.compile(r"[A-Z][A-Z0-9]+$")

@@ -227,6 +227,23 @@ def test_cache_key_covers_max_tokens(tmp_path):
     assert len(sent) == 2  # the repeat was served from the cache
 
 
+def test_second_endpoint_misses_the_first_endpoints_entries(tmp_path):
+    """Two endpoints serving one model name are different providers; a trailing
+    slash names the same one."""
+    transport, sent = _scripted(chat_response("from a"), chat_response("from b"))
+    cache = ResponseCache(tmp_path)
+
+    def client(endpoint):
+        return ChatClient(_cfg(endpoint, kind="http"), cache=cache, transport=transport)
+
+    assert client("http://a.invalid/v1").complete("prompt") == "from a"
+    assert client("http://b.invalid/v1").complete("prompt") == "from b"
+    assert client("http://a.invalid/v1/").complete("prompt") == "from a"
+    assert len(sent) == 2
+    # the identity is hashed into the entry name, not sent
+    assert sent[0] == sent[1]
+
+
 def test_unreadable_cache_entry_is_a_miss(tmp_path, caplog):
     transport, sent = _scripted(chat_response("first"), chat_response("second"))
     client = ChatClient(_cfg("http://x"), cache=ResponseCache(tmp_path),

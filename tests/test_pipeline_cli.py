@@ -45,7 +45,7 @@ def _output_digests(cfg: pl.PipelineConfig) -> dict:
 def test_ingest_output_shape(tmp_path, corpus_path):
     cfg = _config(tmp_path, corpus_path)
     counts = pl.cmd_ingest(cfg)
-    assert counts == {"train": 5, "test": 5}
+    assert counts == {"ingested": {"train": 5, "test": 5}, "n_errors": 0}
     lines = pl.documents_path(cfg, "test").read_text(encoding="utf-8").splitlines()
     assert [parse_record(line) for line in lines] == load_split(corpus_path)
     for line in lines:
@@ -145,6 +145,46 @@ def test_scrambled_answers_score_zero(tmp_path, corpus_path):
     pl.cmd_train_retriever(cfg)
     pl.cmd_answer(cfg, "test", "kg")
     assert pl.cmd_evaluate(cfg, "test", "kg")["accuracy"] == 0.0
+
+
+def test_scrambled_mock_over_a_warm_cache_scores_zero(tmp_path, corpus_path):
+    """The cache keys on the mock's `scramble`, so a faithful run's replies are
+    not served to a scrambled one."""
+    cfg = _config(tmp_path, corpus_path)
+    assert _run_all(cfg)["kg"]["accuracy"] == 1.0
+    cfg.chat.scramble = True
+    pl.cmd_answer(cfg, "test", "kg")
+    assert pl.cmd_evaluate(cfg, "test", "kg")["accuracy"] == 0.0
+
+
+def test_rewritten_answer_key_misses_the_cache(tmp_path, corpus_path):
+    corpus = tmp_path / "key.json"
+    records = json.loads(corpus_path.read_text())
+    corpus.write_text(json.dumps(records))
+    provider = pl.ProviderConfig(kind="mock", answer_key=str(corpus))
+    prompt = f"Question: {records[0]['qa']['question']}\nEnd with ANSWER: <value>"
+
+    def reply():
+        client = pl.build_chat_client(provider, str(tmp_path / "cache"))
+        return client.complete(prompt).splitlines()[-1]
+
+    assert reply() == "ANSWER: " + records[0]["qa"]["answer"]
+    records[0]["qa"]["answer"] = "999"
+    corpus.write_text(json.dumps(records))
+    st = corpus.stat()
+    os.utime(corpus, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    assert reply() == "ANSWER: 999"
+
+
+def test_http_chat_or_judge_without_a_model_names_the_key(tmp_path, corpus_path):
+    with pytest.raises(ValueError, match="providers.chat.model"):
+        pl.build_chat_client(pl.ProviderConfig(kind="http", endpoint="http://127.0.0.1:9"),
+                             None)
+    cfg = _config(tmp_path, corpus_path)
+    _run_all(cfg)
+    cfg.judge = pl.ProviderConfig(kind="http", endpoint="http://127.0.0.1:9")
+    with pytest.raises(ValueError, match="providers.judge.model"):
+        pl.cmd_evaluate(cfg, "test", "kg")
 
 
 def test_train_manifest_shape(tmp_path, corpus_path):
@@ -555,6 +595,45 @@ def test_cli_extract_exits_1_when_a_request_failed(tmp_path, corpus_path, corpus
         assert (tmp_path / "out" / name).exists()
 
 
+def test_failed_extract_keeps_the_earlier_stores(tmp_path, corpus_path, monkeypatch):
+    """An exception part-way through the split leaves both earlier files byte
+    for byte and no temp file, though each document's lines are written as it
+    finishes."""
+    cfg = _config(tmp_path, corpus_path)
+    cfg.data = {"test": str(corpus_path)}
+    pl.cmd_ingest(cfg)
+    pl.cmd_extract(cfg)
+    paths = [pl.triplets_path(cfg, "test"), pl.rejected_path(cfg, "test")]
+    before = [p.read_bytes() for p in paths]
+    extract = pl.DocumentExtractor.extract
+    calls = []
+
+    def failing_third(self, doc):
+        calls.append(doc.id)
+        if len(calls) == 3:
+            raise RuntimeError("extractor failed")
+        return extract(self, doc)
+
+    monkeypatch.setattr(pl.DocumentExtractor, "extract", failing_third)
+    with pytest.raises(RuntimeError, match="extractor failed"):
+        pl.cmd_extract(cfg)
+    assert len(calls) == 3
+    assert [p.read_bytes() for p in paths] == before
+    assert list(Path(cfg.output_dir).glob("*.tmp")) == []
+
+
+def test_ingest_skips_a_null_record_and_the_cli_exits_1(tmp_path, corpus_path, capsys):
+    records = json.loads(corpus_path.read_text())
+    corpus = tmp_path / "with_null.json"
+    corpus.write_text(json.dumps(records[:2] + [None] + records[2:]))
+    config = str(_write_cli_config(tmp_path, corpus))
+    assert cli.main(["ingest", "--config", config]) == 1
+    assert json.loads(capsys.readouterr().out) == \
+        {"ingested": {"train": 5, "test": 5}, "n_errors": 2}
+    lines = (tmp_path / "out" / "documents_test.jsonl").read_text().splitlines()
+    assert [json.loads(line)["id"] for line in lines] == [r["id"] for r in records]
+
+
 # ---------------------------------------------------------------------------
 # Config handling
 
@@ -593,7 +672,7 @@ def test_config_file_empty_split_is_skipped(tmp_path, corpus_path):
     }))
     cfg = pl.PipelineConfig.from_file(config_file)
     assert cfg.data["dev"] == ""
-    assert list(pl.cmd_ingest(cfg)) == ["test"]
+    assert list(pl.cmd_ingest(cfg)["ingested"]) == ["test"]
 
 
 # Field names that are no config key, and provider keys that no client of their role reads.
