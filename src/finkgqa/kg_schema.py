@@ -385,24 +385,27 @@ def serialize_triplets(triplets: list[Triplet]) -> str:
 
 # Lines per json.loads in parse_triplets_file: one call per block saves the
 # per-call overhead, and a small block keeps little decoded text alive at once.
-_PARSE_BLOCK = 64
+# A reader that streams a store hands it one block's lines at a time.
+PARSE_BLOCK = 64
 # What a malformed line raises: bad JSON (a ValueError), a value that is not
 # an object (TypeError), a missing key, or a bad period or value.
 _BAD_LINE = (KeyError, TypeError, ValueError, InvalidOperation)
 
 
-def parse_triplets_file(text: str) -> list[Triplet]:
+def parse_triplets_file(text: str, first_line: int = 1) -> list[Triplet]:
     """Inverse of serialize_triplets; raises TripletParseError with line number.
 
-    Each block of _PARSE_BLOCK lines is decoded as one JSON array of its
-    non-blank lines. A block that fails, or that does not decode to one value
-    per non-blank line (a line holding two objects does not), is parsed again
-    line by line, which raises at its first bad line.
+    `first_line` is the number of text's first line in its file, so the
+    error names the file's line when text is one part of it. Each block of
+    PARSE_BLOCK lines is decoded as one JSON array of its non-blank lines. A
+    block that fails, or that does not decode to one value per non-blank line
+    (a line holding two objects does not), is parsed again line by line,
+    which raises at its first bad line.
     """
     lines = text.splitlines()
     triplets: list[Triplet] = []
-    for start in range(0, len(lines), _PARSE_BLOCK):
-        block = lines[start:start + _PARSE_BLOCK]
+    for start in range(0, len(lines), PARSE_BLOCK):
+        block = lines[start:start + PARSE_BLOCK]
         filled = [line for line in block if line.strip()]
         try:
             dicts = json.loads("[" + ",".join(filled) + "]")
@@ -411,7 +414,7 @@ def parse_triplets_file(text: str) -> list[Triplet]:
                 continue
         except _BAD_LINE:
             pass
-        for line_no, line in enumerate(block, start=start + 1):
+        for line_no, line in enumerate(block, start=first_line + start):
             if not line.strip():
                 continue
             try:

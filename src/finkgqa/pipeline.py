@@ -15,6 +15,7 @@ import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -25,7 +26,7 @@ from . import evaluator, extraction, reasoner, retriever
 from .embedding import LocalHashEmbedder, RemoteEmbedder
 from .evaluator import EvalRecord
 from .extraction import DocumentExtractor
-from .kg_schema import parse_triplets_file, serialize_triplets
+from .kg_schema import PARSE_BLOCK, Triplet, parse_triplets_file, serialize_triplets
 from .llm_client import (ChatClient, LlmTruncated, LlmUnavailable, MockChatTransport,
                          ProviderConfig, ResponseCache, open_atomic, provider_identity,
                          write_atomic)
@@ -172,7 +173,8 @@ def _read_answer_key(path: str, mtime_ns: int, size: int) -> dict[str, str]:
     """The question -> gold answer key of a raw corpus file, as `ingest` parses
     it, read once per version. The stat fields are part of the memo key, so a
     rewritten file is read again. Every caller gets the same dict, which
-    `MockChatTransport` copies."""
+    `MockChatTransport` copies. `load_split` logs no skipped record: `ingest`
+    has reported each once."""
     return {doc.question.text: doc.question.gold_answer for doc in load_split(path)}
 
 
@@ -258,14 +260,28 @@ def _iter_documents(store: Path) -> Iterator[FinDocument]:
             yield parse_record(line)
 
 
-def _load_triplets(cfg: PipelineConfig, split: str) -> dict[str, list]:
-    """The split's triplet store grouped by source document, in store order."""
-    by_doc: dict[str, list] = {}
-    store = _require(triplets_path(cfg, split), "extract")
-    # Called through this module's global, which bench/tracing.py wraps.
-    for t in parse_triplets_file(store.read_text(encoding="utf-8")):
-        by_doc.setdefault(t.source_doc, []).append(t)
-    return by_doc
+def _triplet_runs(store: Path) -> Iterator[list[Triplet]]:
+    """The triplet store's triplets in store order, one run at a time: a run is
+    a document's triplets on consecutive lines.
+
+    Each PARSE_BLOCK lines of the file are decoded by one `parse_triplets_file`
+    call, through this module's global, which bench/tracing.py wraps. Lines
+    are counted where `str.splitlines` splits them, so a `TripletParseError`
+    names the line of the file. Only the run being built and the rest of one
+    block's triplets are held.
+    """
+    run: list[Triplet] = []
+    first_line = 1
+    with open(store, encoding="utf-8") as f:
+        while text := "".join(islice(f, PARSE_BLOCK)):
+            for t in parse_triplets_file(text, first_line):
+                if run and t.source_doc != run[0].source_doc:
+                    yield run
+                    run = []
+                run.append(t)
+            first_line += len(text.splitlines())
+    if run:
+        yield run
 
 
 def _require(path: Path, producer: str) -> Path:
@@ -308,12 +324,14 @@ def cmd_ingest(cfg: PipelineConfig) -> dict:
         path = cfg.data[split]
         if not Path(path).exists():
             raise MissingArtifact(f"dataset file for split {split!r} not found at {path!r}")
-        skipped: list[int] = []
+        skipped: list[tuple[int, str]] = []
         counts[split] = 0
         with open_atomic(documents_path(cfg, split)) as store:
             for doc in iter_split(path, skipped):
                 store.write(json.dumps(document_record(doc)) + "\n")
                 counts[split] += 1
+        for index, reason in skipped:
+            logger.warning("skipping record %d of %s: %s", index, path, reason)
         n_errors += len(skipped)
         logger.info("ingested %d documents for split %s, skipped %d records",
                     counts[split], split, len(skipped))
@@ -369,39 +387,44 @@ _MANIFEST_LINE = '{"doc_id": %s, "triplet_id": %s, "label": %d}\n'
 
 
 def cmd_train_retriever(cfg: PipelineConfig) -> dict:
-    """Label train-split triplets from gold supporting facts and fit the filter."""
-    by_doc = _load_triplets(cfg, "train")
-    docs = [doc for doc in _iter_documents(_require(documents_path(cfg, "train"), "ingest"))
-            if doc.id in by_doc]
-    if not docs:
-        raise MissingArtifact("no training pairs; run `extract` on the train split first")
+    """Label train-split triplets from gold supporting facts and fit the filter.
 
+    The triplet store is featurised one run at a time, as it is read, so the
+    pairs are in store order; triplets of a document the document store lacks
+    are not used. The manifest is written as the runs are read, and replaces
+    the old one only once the new model is saved.
+    """
+    store = _require(triplets_path(cfg, "train"), "extract")
+    docs = {doc.id: doc
+            for doc in _iter_documents(_require(documents_path(cfg, "train"), "ingest"))}
     embedder = build_embedder(cfg.embeddings, cfg.cache_dir)
-    X = retriever.GroupedFeatures([len(by_doc[doc.id]) for doc in docs])
-    labels, manifest = [], []
-    for j, doc in enumerate(docs):
-        # Popped so that each document's parsed triplets are freed once featurised.
-        doc_triplets = by_doc.pop(doc.id)
-        doc_labels = retriever.label_triplets(doc, doc_triplets)
-        X.fill(j, *retriever.feature_parts(doc.question, doc_triplets, embedder))
-        labels.extend(doc_labels)
-        doc_id = _json_str(doc.id)
-        manifest.extend(_MANIFEST_LINE % (doc_id, _json_str(t.triplet_id), label)
-                        for t, label in zip(doc_triplets, doc_labels))
+    X = retriever.GroupedFeatures()
+    labels: list[int] = []
+    with open_atomic(manifest_path(cfg)) as manifest:
+        for run in _triplet_runs(store):
+            doc = docs.get(run[0].source_doc)
+            if doc is None:
+                continue
+            run_labels = retriever.label_triplets(doc, run)
+            X.append(*retriever.feature_parts(doc.question, run, embedder))
+            labels.extend(run_labels)
+            doc_id = _json_str(doc.id)
+            manifest.writelines(_MANIFEST_LINE % (doc_id, _json_str(t.triplet_id), label)
+                                for t, label in zip(run, run_labels))
+        if not labels:
+            raise MissingArtifact("no training pairs; run `extract` on the train split first")
 
-    del embedder  # its memos serve featurisation only; free them before training
-    y = np.asarray(labels, dtype=np.float64)
-    n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
-    train_cfg = retriever.TrainConfig(
-        epochs=cfg.epochs,
-        seed=cfg.seed,
-        positive_weight=(n_neg / n_pos) if n_pos and n_neg else 1.0,
-    )
-    model, history = retriever.train(X, y, train_cfg)
-    retriever.save_model(model, model_path(cfg))
-    with open_atomic(manifest_path(cfg)) as f:
-        f.writelines(manifest)
+        del embedder, docs  # they serve featurisation only; free them before training
+        y = np.asarray(labels, dtype=np.float64)
+        n_pos = int(y.sum())
+        n_neg = len(y) - n_pos
+        train_cfg = retriever.TrainConfig(
+            epochs=cfg.epochs,
+            seed=cfg.seed,
+            positive_weight=(n_neg / n_pos) if n_pos and n_neg else 1.0,
+        )
+        model, history = retriever.train(X, y, train_cfg)
+        retriever.save_model(model, model_path(cfg))
     logger.info("trained retriever on %d pairs (%d positive); final loss %.4f",
                 len(y), n_pos, history[-1])
     return {"pairs": len(y), "positives": n_pos, "final_loss": history[-1]}
@@ -421,7 +444,9 @@ def cmd_answer(cfg: PipelineConfig, split: str, mode: str) -> dict[str, int]:
     docs = _load_documents(cfg, split)
     embedder = None
     if mode == "kg":
-        by_doc = _load_triplets(cfg, split)
+        by_doc: dict[str, list[Triplet]] = {}
+        for run in _triplet_runs(_require(triplets_path(cfg, split), "extract")):
+            by_doc.setdefault(run[0].source_doc, []).extend(run)
         model = retriever.load_model(_require(model_path(cfg), "train-retriever"))
         embedder = build_embedder(cfg.embeddings, cfg.cache_dir)
 

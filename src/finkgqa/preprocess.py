@@ -160,10 +160,12 @@ def document_record(doc: FinDocument) -> dict:
                    "program": q.gold_program, "gold_inds": q.gold_inds}}
 
 
-def iter_split(path: str | Path, skipped: list[int] | None = None) -> Iterator[FinDocument]:
+def iter_split(path: str | Path,
+               skipped: list[tuple[int, str]] | None = None) -> Iterator[FinDocument]:
     """Parse a JSON-array split file one record at a time, skipping malformed
-    records and repeated ids with a log line; each skipped record's index is
-    appended to `skipped`.
+    records and repeated ids; each skipped record's index and the reason are
+    appended to `skipped`. Nothing is logged: `ingest` reports the skips, and
+    a later reader of the same file (the mock's answer key) does not repeat them.
 
     Each raw record is freed once it is parsed, so the file's records and
     their documents are not all held at once.
@@ -183,9 +185,8 @@ def iter_split(path: str | Path, skipped: list[int] | None = None) -> Iterator[F
             if doc.id in seen:
                 raise MalformedRecord(f"duplicate id {doc.id}")
         except MalformedRecord as exc:
-            logger.warning("skipping record %d of %s: %s", i, path, exc)
             if skipped is not None:
-                skipped.append(i)
+                skipped.append((i, str(exc)))
             continue
         seen.add(doc.id)
         yield doc

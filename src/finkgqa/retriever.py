@@ -131,49 +131,60 @@ class GroupedFeatures:
     """`build_features` rows of many questions, kept as `feature_parts`.
 
     Row i is [Q[doc[i]] | N[i] / D[i] | S[i]]: Q holds one question embedding
-    per document, doc maps each row to its document, and the triplet
+    per group of rows, doc maps each row to its group, and the triplet
     embedding stays the embedder's fraction. The local embedder's numerators
     are signed bucket counts, so N takes the narrowest signed integer dtype
-    that holds every document's counts (widened when a later document needs
-    more). At dim 256 with int8 counts a row is about 320 bytes (dim + 8·8:
-    the counts, its denominator, STRUCTURAL_COLUMNS and doc), plus 8·dim per
-    document, against 8·(2·dim+6) = 4,144 when dense. The rows are exact:
+    that holds every group's counts (widened when a later group needs more).
+    At dim 256 with int8 counts a row is about 320 bytes (dim + 8·8: the
+    counts, its denominator, STRUCTURAL_COLUMNS and doc), plus 8·dim per
+    group, against 8·(2·dim+6) = 4,144 when dense. The rows are exact:
     indexing divides N by D as the embedder does, so `train` sees the
     float64 values of the dense matrix. It gathers into a reused scratch
     buffer, which the next index overwrites.
+
+    Groups are appended one at a time, so a caller that streams its
+    candidates need not know their number. Each array grows in place
+    (`ndarray.resize` reallocates it) by at least a quarter of its length,
+    so the rows are never held twice; rows past `shape[0]` are spare room.
     """
 
-    def __init__(self, sizes: list[int]):
-        """Room for len(sizes) documents, document j with sizes[j] >= 1 rows."""
-        self.doc = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
-        self._start = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
-        self.D = np.empty(len(self.doc))
-        self.S = np.empty((len(self.doc), N_STRUCTURAL))
+    def __init__(self):
+        self.doc = np.empty(0, dtype=np.intp)
+        self.D = np.empty(0)
+        self.S = np.empty((0, N_STRUCTURAL))
         self.Q = self.N = self._buf = None
+        self._groups = self._rows = 0
 
-    def fill(self, j: int, q: np.ndarray, numerators: np.ndarray,
-             denominators: np.ndarray, S: np.ndarray) -> None:
-        """Store document j's `feature_parts`. The first document sets the
-        dimension, because an http embedder chooses its own."""
+    def append(self, q: np.ndarray, numerators: np.ndarray, denominators: np.ndarray,
+               S: np.ndarray) -> None:
+        """Add one group's `feature_parts`, of at least one row. The first group
+        sets the dimension, because an http embedder chooses its own."""
         if self.Q is None:
-            self.Q = np.empty((len(self._start) - 1, q.shape[0]))
-            self.N = np.empty((len(self.doc), q.shape[0]), dtype=numerators.dtype)
+            self.Q = np.empty((0, q.shape[0]))
+            self.N = np.empty((0, q.shape[0]), dtype=numerators.dtype)
             self._buf = np.empty((0, feature_dim(q.shape[0])))
         if q.shape[0] != self.Q.shape[1]:
-            raise DimensionMismatch(f"document {j} has dim {q.shape[0]}, "
-                                    f"the first document {self.Q.shape[1]}")
+            raise DimensionMismatch(f"group {self._groups} has dim {q.shape[0]}, "
+                                    f"the first group {self.Q.shape[1]}")
         dtype = np.promote_types(self.N.dtype, numerators.dtype)
         if dtype != self.N.dtype:
             self.N = self.N.astype(dtype)
-        rows = slice(self._start[j], self._start[j + 1])
+        j, start, end = self._groups, self._rows, self._rows + len(S)
+        if j == len(self.Q):
+            _grow(self.Q, j + 1)
+        if end > len(self.doc):
+            for array in (self.doc, self.N, self.D, self.S):
+                _grow(array, end)
         self.Q[j] = q
-        self.N[rows] = numerators
-        self.D[rows] = denominators
-        self.S[rows] = S
+        self.doc[start:end] = j
+        self.N[start:end] = numerators
+        self.D[start:end] = denominators
+        self.S[start:end] = S
+        self._groups, self._rows = j + 1, end
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.doc), self._buf.shape[1]
+        return self._rows, self._buf.shape[1]
 
     def __getitem__(self, rows: np.ndarray) -> np.ndarray:
         if len(rows) > len(self._buf):
@@ -184,6 +195,13 @@ class GroupedFeatures:
         np.divide(self.N[rows], self.D[rows, None], out=out[:, dim:2 * dim])
         out[:, 2 * dim:] = self.S[rows]
         return out
+
+
+def _grow(array: np.ndarray, n: int) -> None:
+    """Resize `array` in place to at least n rows, and by at least a quarter.
+    The reference check is off, as the caller's own references would fail it:
+    no view of a `GroupedFeatures` array outlives the call that made it."""
+    array.resize((max(n, len(array) + len(array) // 4), *array.shape[1:]), refcheck=False)
 
 
 _PARAMS = ("W1", "b1", "W2", "b2")

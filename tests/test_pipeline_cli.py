@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from finkgqa import cli, pipeline as pl
+from finkgqa.kg_schema import PARSE_BLOCK, TripletParseError, parse_triplets_file
 from finkgqa.llm_client import chat_response
 from finkgqa.preprocess import load_split, parse_record
 
@@ -216,6 +217,92 @@ def test_train_manifest_escapes_as_json_dumps(tmp_path, corpus_path):
     entries = [json.loads(line) for line in text.splitlines()]
     assert text == "".join(json.dumps(e) + "\n" for e in entries)
     assert {e["doc_id"] for e in entries} >= {r["id"] for r in records[:4]}
+
+
+def _reorder_store(path: Path) -> None:
+    """Rewrite a triplet store with its document groups reversed and the second
+    half of one document's lines moved to the end, as a second run of it."""
+    groups: dict[str, list[str]] = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        groups.setdefault(json.loads(line)["source_doc"], []).append(line)
+    # not the first group, which ends the reversed store next to the moved lines
+    split = max(list(groups)[1:], key=lambda doc_id: len(groups[doc_id]))
+    lines = groups[split]
+    assert len(lines) >= 2
+    groups[split] = lines[:len(lines) // 2]
+    runs = [groups[doc_id] for doc_id in reversed(groups)] + [lines[len(lines) // 2:]]
+    path.write_text("".join(line + "\n" for run in runs for line in run), encoding="utf-8")
+
+
+def test_stores_out_of_document_order_give_the_same_pairs_and_retrievals(tmp_path,
+                                                                         corpus_path):
+    """Training reads a store in store order, and answering merges a document's
+    runs, so an edited store trains on the same pairs and retrieves the same ids."""
+    cfg = _config(tmp_path, corpus_path)
+    pl.cmd_ingest(cfg)
+    pl.cmd_extract(cfg)
+    ordered = pl.cmd_train_retriever(cfg)
+    pl.cmd_answer(cfg, "test", "kg")
+    manifest = pl.manifest_path(cfg).read_text(encoding="utf-8").splitlines()
+    model = pl.model_path(cfg).read_bytes()
+    retrieved = [json.loads(line)["retrieved"] for line in _answer_lines(cfg, "kg")]
+    assert any(retrieved)
+
+    for split in ("train", "test"):
+        _reorder_store(pl.triplets_path(cfg, split))
+    edited = pl.cmd_train_retriever(cfg)
+    assert (edited["pairs"], edited["positives"]) == (ordered["pairs"], ordered["positives"])
+    edited_manifest = pl.manifest_path(cfg).read_text(encoding="utf-8").splitlines()
+    assert edited_manifest != manifest and sorted(edited_manifest) == sorted(manifest)
+
+    pl.model_path(cfg).write_bytes(model)  # the ordered store's model scores the same
+    pl.cmd_answer(cfg, "test", "kg")
+    assert [json.loads(line)["retrieved"] for line in _answer_lines(cfg, "kg")] == retrieved
+
+
+@pytest.mark.parametrize("breaks", [("\n",), ("\n", "\r\n", "\u2028", "\x1c", "\r")],
+                         ids=["newline", "mixed"])
+def test_store_parse_error_names_the_line_of_the_file(tmp_path, corpus_path, breaks):
+    """A bad line past the first parse blocks is reported with the line number
+    `parse_triplets_file` gives over the whole file, where lines split as
+    `str.splitlines` splits them, by `train-retriever` and by `answer`."""
+    cfg = _config(tmp_path, corpus_path)
+    pl.cmd_ingest(cfg)
+    pl.cmd_extract(cfg)
+    pl.cmd_train_retriever(cfg)
+    lines = pl.triplets_path(cfg, "train").read_text(encoding="utf-8").splitlines()
+    lines = (lines * (3 * PARSE_BLOCK // len(lines)))[:2 * PARSE_BLOCK + 7]
+    lines[-3:-3] = ["", "{broken"]
+    text = "".join(line + breaks[i % len(breaks)] for i, line in enumerate(lines))
+    with pytest.raises(TripletParseError) as whole:
+        parse_triplets_file(text)
+    assert whole.value.line_no == len(lines) - 3
+    for split in ("train", "test"):
+        pl.triplets_path(cfg, split).write_bytes(text.encode("utf-8"))
+    for stage in (lambda: pl.cmd_train_retriever(cfg), lambda: pl.cmd_answer(cfg, "test", "kg")):
+        with pytest.raises(TripletParseError) as streamed:
+            stage()
+        assert streamed.value.line_no == whole.value.line_no
+
+
+def test_failed_fit_keeps_the_earlier_model_and_manifest(tmp_path, corpus_path, monkeypatch):
+    """The manifest is written while the store is read, but replaces the old one
+    only once the new model is saved."""
+    cfg = _config(tmp_path, corpus_path)
+    pl.cmd_ingest(cfg)
+    pl.cmd_extract(cfg)
+    pl.cmd_train_retriever(cfg)
+    paths = [pl.model_path(cfg), pl.manifest_path(cfg)]
+    before = [p.read_bytes() for p in paths]
+
+    def failing_train(*args, **kwargs):
+        raise RuntimeError("fit failed")
+
+    monkeypatch.setattr(pl.retriever, "train", failing_train)
+    with pytest.raises(RuntimeError, match="fit failed"):
+        pl.cmd_train_retriever(cfg)
+    assert [p.read_bytes() for p in paths] == before
+    assert list(Path(cfg.output_dir).glob("*.tmp")) == []
 
 
 def test_mock_answer_key_is_read_once_per_file_version(tmp_path, corpus_path, monkeypatch):
@@ -632,6 +719,23 @@ def test_ingest_skips_a_null_record_and_the_cli_exits_1(tmp_path, corpus_path, c
         {"ingested": {"train": 5, "test": 5}, "n_errors": 2}
     lines = (tmp_path / "out" / "documents_test.jsonl").read_text().splitlines()
     assert [json.loads(line)["id"] for line in lines] == [r["id"] for r in records]
+
+
+def test_only_ingest_warns_of_a_skipped_record(tmp_path, corpus_path, caplog):
+    """The mock reads its answer key from the same file, but does not repeat
+    `ingest`'s warning for a record it skips."""
+    records = json.loads(corpus_path.read_text())
+    corpus = tmp_path / "with_null.json"
+    corpus.write_text(json.dumps(records[:2] + [None] + records[2:]))
+    cfg = _config(tmp_path, corpus)
+    cfg.data = {"test": str(corpus)}
+    pl._read_answer_key.cache_clear()  # a memoised key would hide a second read
+    with caplog.at_level("WARNING"):
+        pl.cmd_ingest(cfg)
+        pl.cmd_extract(cfg)
+        pl.build_chat_client(cfg.chat, None)
+    skips = [r.getMessage() for r in caplog.records if "skipping record" in r.getMessage()]
+    assert skips == [f"skipping record 2 of {corpus}: a NoneType, not an object"]
 
 
 # ---------------------------------------------------------------------------

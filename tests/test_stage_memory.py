@@ -9,6 +9,7 @@ artifact; a stage that streams its lines peaks near the part it must hold.
 """
 
 import json
+import shutil
 import tracemalloc
 from pathlib import Path
 
@@ -59,7 +60,13 @@ def test_each_stage_peaks_near_what_it_streams(tmp_path):
     as one string next to every parsed document, then streamed: ingest 3.55x ->
     2.58x the raw file; extract 2.37x -> 0.32x its document and triplet stores;
     vanilla answering 5.59x -> 2.88x its predictions; evaluation 3.58x -> 0.30x.
-    Each bound sits about halfway between."""
+    Against the triplet store, when the whole store was parsed before the first
+    document, then read one run at a time: train-retriever 20.02x -> 15.54x
+    (the rest is mostly the model's fixed Adam buffers and the saved file).
+    Each bound sits about halfway between. Answering in kg mode keeps every
+    candidate parsed, by design, and peaks while the model loads: 10.45x ->
+    10.48x. Its bound sits 10% above, below what holding the store's text as
+    well (another 1x) would reach."""
     corpus = tmp_path / "filings.json"
     corpus.write_text(json.dumps([_record(d) for d in range(N_DOCS)]), encoding="utf-8")
     cfg = pl.PipelineConfig(
@@ -77,5 +84,12 @@ def test_each_stage_peaks_near_what_it_streams(tmp_path):
         / _size(predictions)
     ratios["evaluate"] = _peak_bytes(lambda: pl.cmd_evaluate(cfg, "test", "vanilla")) \
         / _size(predictions)
-    bounds = {"ingest": 3.0, "extract": 1.3, "answer": 4.2, "evaluate": 1.9}
+    # The retriever trains on the test split's stores, copied to the train names.
+    for path in (pl.documents_path, pl.triplets_path):
+        shutil.copyfile(path(cfg, "test"), path(cfg, "train"))
+    store = pl.triplets_path(cfg, "test")
+    ratios["train-retriever"] = _peak_bytes(lambda: pl.cmd_train_retriever(cfg)) / _size(store)
+    ratios["answer-kg"] = _peak_bytes(lambda: pl.cmd_answer(cfg, "test", "kg")) / _size(store)
+    bounds = {"ingest": 3.0, "extract": 1.3, "answer": 4.2, "evaluate": 1.9,
+              "train-retriever": 17.8, "answer-kg": 11.5}
     assert {k: round(v, 2) for k, v in ratios.items() if v >= bounds[k]} == {}

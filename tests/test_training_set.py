@@ -5,8 +5,9 @@ and each triplet embedding as the embedder's fraction.
 (question embeddings, a row -> document index, each triplet embedding's
 numerators and denominator, and the structural columns). These tests hold it
 to the dense matrix it replaces: the same rows bit for bit, the same model
-file, and a peak well below that matrix's size. Each document's parsed
-triplets are freed once its rows are filled.
+file, and a peak well below that matrix's size. The triplet store is read
+one document's run of lines at a time, and each run's parsed triplets are
+freed once its rows are appended.
 """
 
 import gc
@@ -146,9 +147,9 @@ def test_grouped_rows_equal_dense_rows(sizes, dim, batch_size, seed, dtypes):
         parts.append((q, numerators, denominators, S))
         blocks.append(np.hstack([np.tile(q, (size, 1)),
                                  numerators.astype(np.float64) / denominators[:, None], S]))
-    X = retriever.GroupedFeatures(sizes)
-    for j, part in enumerate(parts):
-        X.fill(j, *part)
+    X = retriever.GroupedFeatures()
+    for part in parts:
+        X.append(*part)
     assert X.N.dtype == np.result_type(*dtypes[:len(sizes)])
     _assert_batches_equal(X, np.concatenate(blocks), batch_size, rng)
 
@@ -170,9 +171,9 @@ def _rows_from_provider(provider, documents: list[list[str]],
     dense = np.concatenate([retriever.build_features(q, ts, provider)
                             for q, ts in zip(questions, triplets)])
     assert dense.shape[1] == retriever.feature_dim(dim)
-    X = retriever.GroupedFeatures([len(texts) for texts in documents])
-    for j, (q, ts) in enumerate(zip(questions, triplets)):
-        X.fill(j, *retriever.feature_parts(q, ts, provider))
+    X = retriever.GroupedFeatures()
+    for q, ts in zip(questions, triplets):
+        X.append(*retriever.feature_parts(q, ts, provider))
     for batch_size in (1, 3, 64):
         _assert_batches_equal(X, dense, batch_size, np.random.default_rng(batch_size))
     return X
@@ -221,13 +222,13 @@ def test_grouped_features_reject_a_document_of_another_width():
     width = [24]
     embedder = _remote_embedder(lambda: width[0])
     question = QuestionRecord(text="what was net revenue in 2019?", gold_answer="5")
-    X = retriever.GroupedFeatures([1, 1])
-    X.fill(0, *retriever.feature_parts(question, [_piece_triplet("a b", "d0")], embedder))
+    X = retriever.GroupedFeatures()
+    X.append(*retriever.feature_parts(question, [_piece_triplet("a b", "d0")], embedder))
     width[0] = 32
     parts = retriever.feature_parts(QuestionRecord(text="and in 2018?", gold_answer="4"),
                                     [_piece_triplet("c d", "d1")], embedder)
     with pytest.raises(DimensionMismatch):
-        X.fill(1, *parts)
+        X.append(*parts)
 
 
 def _train_retriever_peak(tmp_path, n_docs: int) -> float:
@@ -281,3 +282,28 @@ def test_parsed_triplets_are_freed_before_training(tmp_path, monkeypatch):
     pl.cmd_train_retriever(cfg)
     assert len(live_at_train) == 1
     assert live_at_train[0] <= max(per_doc.values()), live_at_train
+
+
+def test_featurisation_holds_one_document_and_one_parse_block(tmp_path, monkeypatch):
+    """While a document is featurised, at most its own parsed triplets and one
+    parse block's are alive, not the whole store."""
+    cfg = _config(tmp_path, _write_corpus(tmp_path / "train.json", n_docs=20), epochs=1)
+    pl.cmd_ingest(cfg)
+    pl.cmd_extract(cfg)
+    store = pl.triplets_path(cfg, "train").read_text(encoding="utf-8")
+    per_doc = Counter(t.source_doc for t in parse_triplets_file(store))
+    bound = max(per_doc.values()) + kg_schema.PARSE_BLOCK
+    assert sum(per_doc.values()) > 10 * bound
+
+    feature_parts = retriever.feature_parts
+    live_at_featurising = []
+
+    def counting_feature_parts(*args, **kwargs):
+        live_at_featurising.append(_live_triplets() - before)
+        return feature_parts(*args, **kwargs)
+
+    monkeypatch.setattr(retriever, "feature_parts", counting_feature_parts)
+    before = _live_triplets()  # whatever earlier tests left alive
+    pl.cmd_train_retriever(cfg)
+    assert len(live_at_featurising) == len(per_doc)
+    assert max(live_at_featurising) <= bound, live_at_featurising
