@@ -20,10 +20,10 @@ from .kg_schema import (
     NotNumeric,
     Triplet,
     canonical_metric,
+    field_violations,
     make_triplet,
     normalize_period,
     parse_numeric,
-    validate_triplet,
 )
 from .llm_client import ChatClient, LlmTruncated, LlmUnavailable
 from .preprocess import FinDocument, linearize_table
@@ -86,22 +86,26 @@ def _first_json_array(raw: str):
 
 
 def _triplet_from_element(elem: dict, doc_id: str) -> Triplet:
-    subject = str(elem.get("subject") or "").strip()
-    metric_raw = (elem.get("financial_metric_entity_type")
-                  or elem.get("metric_type")
+    """The triplet `make_triplet` builds from one reply element; each field is
+    read once."""
+    get = elem.get
+    subject = str(get("subject") or "").strip()
+    metric_raw = (get("financial_metric_entity_type")
+                  or get("metric_type")
                   or subject.split(":", 1)[0])
     metric = canonical_metric(str(metric_raw))
 
-    company = str(elem.get("company") or "").strip()
+    company = str(get("company") or "").strip()
     if not company and ":" in subject:
         company = subject.split(":", 1)[1].strip()
 
-    period = normalize_period(str(elem.get("period") or ""))
+    period = normalize_period(str(get("period") or ""))
 
-    value_raw = elem.get("value")
-    unit = str(elem.get("unit") or "").strip()
+    value_raw = get("value")
+    obj_raw = get("object")
+    unit = str(get("unit") or "").strip()
     if value_raw is None or str(value_raw).strip() == "":
-        parsed = parse_numeric(str(elem.get("object") or ""))
+        parsed = parse_numeric(str(obj_raw or ""))
         value, unit = parsed.magnitude, unit or parsed.unit
     else:
         try:
@@ -123,8 +127,8 @@ def _triplet_from_element(elem: dict, doc_id: str) -> Triplet:
         period=period,
         source_doc=doc_id,
         subject=subject or None,
-        relation=str(elem.get("relation") or "").strip() or None,
-        obj=str(elem["object"]).strip() if elem.get("object") else None,
+        relation=str(get("relation") or "").strip() or None,
+        obj=str(obj_raw).strip() if obj_raw else None,
     )
 
 
@@ -151,7 +155,8 @@ def parse_extraction_response(raw: str, doc_id: str) -> ExtractionResult:
             except (ValueError, KeyError, TypeError) as exc:
                 violations = (f"Unmappable:{type(exc).__name__}",)
             else:
-                violations = tuple(validate_triplet(triplet))
+                # made by make_triplet, so its id matches its fields
+                violations = tuple(field_violations(triplet))
         if violations:
             # Only a rejected element is serialised, for the audit file.
             rejected.append((json.dumps(elem), violations))
@@ -188,7 +193,7 @@ def extract_table_triplets(doc: FinDocument) -> list[Triplet]:
                 period=period,
                 source_doc=doc.id,
             )
-            if validate_triplet(triplet) or triplet.triplet_id in seen:
+            if field_violations(triplet) or triplet.triplet_id in seen:
                 continue
             seen.add(triplet.triplet_id)
             triplets.append(triplet)

@@ -173,8 +173,8 @@ def _read_answer_key(path: str, mtime_ns: int, size: int) -> dict[str, str]:
     """The question -> gold answer key of a raw corpus file, as `ingest` parses
     it, read once per version. The stat fields are part of the memo key, so a
     rewritten file is read again. Every caller gets the same dict, which
-    `MockChatTransport` copies. `load_split` logs no skipped record: `ingest`
-    has reported each once."""
+    `MockChatTransport` copies. `load_split` logs no skipped record and no
+    repaired table row: `ingest` has reported each once."""
     return {doc.question.text: doc.question.gold_answer for doc in load_split(path)}
 
 
@@ -317,7 +317,8 @@ def cmd_ingest(cfg: PipelineConfig) -> dict:
     """Parse every configured split into the document store every later stage reads.
 
     Returns the document count per split and the number of records skipped
-    as malformed or as a repeated id.
+    as malformed or as a repeated id. Each skipped record and each padded or
+    truncated table row is logged here, once.
     """
     counts, n_errors = {}, 0
     for split in _configured_splits(cfg):
@@ -325,11 +326,14 @@ def cmd_ingest(cfg: PipelineConfig) -> dict:
         if not Path(path).exists():
             raise MissingArtifact(f"dataset file for split {split!r} not found at {path!r}")
         skipped: list[tuple[int, str]] = []
+        repairs: list[str] = []
         counts[split] = 0
         with open_atomic(documents_path(cfg, split)) as store:
-            for doc in iter_split(path, skipped):
+            for doc in iter_split(path, skipped, repairs):
                 store.write(json.dumps(document_record(doc)) + "\n")
                 counts[split] += 1
+        for repair in repairs:
+            logger.warning("%s", repair)
         for index, reason in skipped:
             logger.warning("skipping record %d of %s: %s", index, path, reason)
         n_errors += len(skipped)

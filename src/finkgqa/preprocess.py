@@ -7,16 +7,15 @@ and table cells can be processed uniformly downstream.
 
 from __future__ import annotations
 
+import functools
 import json
-import logging
 import re
 import unicodedata
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
-
-logger = logging.getLogger(__name__)
 
 
 class MalformedRecord(ValueError):
@@ -59,9 +58,16 @@ class FinDocument:
     question: QuestionRecord | None = None
 
 
+def _all_text(items) -> bool:
+    """Whether every item is exactly a `str`, checked in one C-level pass."""
+    return set(map(type, items)) <= {str}
+
+
 def _as_sentences(value, name: str) -> tuple[str, ...]:
     if not value:
         return ()
+    if type(value) is list and _all_text(value):  # as a JSON record holds it
+        return tuple(s for s in value if s.strip())
     if isinstance(value, str):
         value = [value]
     elif not isinstance(value, (list, tuple)) or any(isinstance(s, (list, dict)) for s in value):
@@ -74,13 +80,17 @@ def _gold_inds_list(raw) -> tuple[str, ...]:
     return _as_sentences(list(raw.values()) if isinstance(raw, dict) else raw, "gold_inds")
 
 
-def _build_table(raw_table, doc_id: str) -> Table:
+def _build_table(raw_table, doc_id: str, repairs: list[str] | None) -> Table:
     rows = raw_table or []
-    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
-        raise MalformedRecord(f"record {doc_id} has a table that is not a list of lists")
-    if any(isinstance(c, (list, dict)) for row in rows for c in row):
-        raise MalformedRecord(f"record {doc_id} has a table cell that is a list or an object")
-    rows = [[str(c) for c in row] for row in rows]
+    # A JSON record's all-text table is a list of lists of str: nothing to check or convert.
+    if not (type(rows) is list and set(map(type, rows)) <= {list}
+            and _all_text(chain.from_iterable(rows))):
+        if not isinstance(rows, (list, tuple)) or \
+                not all(isinstance(r, (list, tuple)) for r in rows):
+            raise MalformedRecord(f"record {doc_id} has a table that is not a list of lists")
+        if any(isinstance(c, (list, dict)) for row in rows for c in row):
+            raise MalformedRecord(f"record {doc_id} has a table cell that is a list or an object")
+        rows = [[str(c) for c in row] for row in rows]
     if not rows:
         return Table()
     header = rows[0]
@@ -88,24 +98,27 @@ def _build_table(raw_table, doc_id: str) -> Table:
     data = []
     for i, row in enumerate(rows[1:]):
         if len(row) < width:
-            logger.warning("doc %s: padding short table row %d (%d -> %d cells)",
-                           doc_id, i, len(row), width)
+            if repairs is not None:
+                repairs.append(f"doc {doc_id}: padding short table row {i} "
+                               f"({len(row)} -> {width} cells)")
             row = row + [""] * (width - len(row))
         elif len(row) > width:
-            logger.warning("doc %s: truncating long table row %d (%d -> %d cells)",
-                           doc_id, i, len(row), width)
+            if repairs is not None:
+                repairs.append(f"doc {doc_id}: truncating long table row {i} "
+                               f"({len(row)} -> {width} cells)")
             row = row[:width]
         data.append(tuple(row))
     return Table(header=tuple(header), rows=tuple(data))
 
 
-def parse_record(raw_json: str | dict) -> FinDocument:
+def parse_record(raw_json: str | dict, repairs: list[str] | None = None) -> FinDocument:
     """Parse one FinQA-format object into a FinDocument.
 
     Missing optional fields become empty; short table rows are padded with
-    empty cells (logged). Raises MalformedRecord when the id, question text or
-    all content is missing, or when `qa` is not an object, the table is not a
-    list of lists, or a text field, a sentence or a table cell has the wrong shape.
+    empty cells and long ones truncated, each described in `repairs` when it
+    is given. Raises MalformedRecord when the id, question text or all content
+    is missing, or when `qa` is not an object, the table is not a list of
+    lists, or a text field, a sentence or a table cell has the wrong shape.
     """
     record = json.loads(raw_json) if isinstance(raw_json, str) else raw_json
     doc_id = str(record.get("id") or "").strip()
@@ -142,7 +155,7 @@ def parse_record(raw_json: str | dict) -> FinDocument:
 
     pre_text = _as_sentences(record.get("pre_text"), "pre_text")
     post_text = _as_sentences(record.get("post_text"), "post_text")
-    table = _build_table(record.get("table"), doc_id)
+    table = _build_table(record.get("table"), doc_id, repairs)
     if not pre_text and not post_text and table.is_empty():
         raise MalformedRecord(f"record {doc_id} has no text and no table")
 
@@ -160,12 +173,13 @@ def document_record(doc: FinDocument) -> dict:
                    "program": q.gold_program, "gold_inds": q.gold_inds}}
 
 
-def iter_split(path: str | Path,
-               skipped: list[tuple[int, str]] | None = None) -> Iterator[FinDocument]:
+def iter_split(path: str | Path, skipped: list[tuple[int, str]] | None = None,
+               repairs: list[str] | None = None) -> Iterator[FinDocument]:
     """Parse a JSON-array split file one record at a time, skipping malformed
     records and repeated ids; each skipped record's index and the reason are
-    appended to `skipped`. Nothing is logged: `ingest` reports the skips, and
-    a later reader of the same file (the mock's answer key) does not repeat them.
+    appended to `skipped`, and each padded or truncated table row is described
+    in `repairs`. Nothing is logged: `ingest` reports both, and a later reader
+    of the same file (the mock's answer key) does not repeat them.
 
     Each raw record is freed once it is parsed, so the file's records and
     their documents are not all held at once.
@@ -181,7 +195,7 @@ def iter_split(path: str | Path,
         try:
             if not isinstance(record, dict):
                 raise MalformedRecord(f"a {type(record).__name__}, not an object")
-            doc = parse_record(record)
+            doc = parse_record(record, repairs)
             if doc.id in seen:
                 raise MalformedRecord(f"duplicate id {doc.id}")
         except MalformedRecord as exc:
@@ -200,8 +214,10 @@ def load_split(path: str | Path) -> list[FinDocument]:
 _ACRONYM_RE = re.compile(r"[A-Z][A-Z0-9]+$")
 
 
+@functools.lru_cache(maxsize=4096)
 def _column_phrase(header_cell: str) -> str:
     # Lowercase the header for the sentence, but leave all-caps tokens (EPS) alone.
+    # Memoised: a split repeats a handful of column headers.
     words = header_cell.split()
     return " ".join(w if _ACRONYM_RE.fullmatch(w) else w.lower() for w in words)
 

@@ -83,9 +83,9 @@ def _parts(question: QuestionRecord, triplets: list[Triplet], provider
     q_lower = question.text.lower()
     q_tokens = set(_WORD_RE.findall(q_lower))
 
-    # One dot product per row: a batched T @ q sums in another order and
-    # changes the low bits of the features.
-    S[:, 0] = np.clip([np.dot(q, row) for row in T], -1.0, 1.0)
+    # One dot product per row, as vecdot runs np.dot's kernel on each row: a
+    # batched T @ q sums in another order and changes the low bits of the features.
+    S[:, 0] = np.clip(np.vecdot(T, q), -1.0, 1.0)
     t_years = np.array([t.period.year for t in triplets], dtype=np.float64)  # None -> nan
     gap = np.abs(t_years - (np.nan if q_year is None else q_year))
     missing = np.isnan(gap)

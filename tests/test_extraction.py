@@ -1,8 +1,8 @@
 import json
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from finkgqa.extraction import (
     DocumentExtractor,
@@ -14,7 +14,15 @@ from finkgqa.extraction import (
     load_prompt_asset,
     parse_extraction_response,
 )
-from finkgqa.kg_schema import validate_triplet
+from finkgqa.kg_schema import (
+    EmptyAfterNormalization,
+    NotNumeric,
+    canonical_metric,
+    make_triplet,
+    normalize_period,
+    parse_numeric,
+    validate_triplet,
+)
 from finkgqa.llm_client import ChatClient, MockChatTransport, ProviderConfig
 from finkgqa.preprocess import FinDocument, Table
 
@@ -173,6 +181,94 @@ def test_parser_never_emits_invalid_triplets(elements, prefix):
         return
     for t in result.triplets:
         assert validate_triplet(t) == []
+
+
+def _reference_triplet(elem: dict, doc_id: str):
+    """The element-to-triplet mapping as it read each field where it used it."""
+    subject = str(elem.get("subject") or "").strip()
+    metric_raw = (elem.get("financial_metric_entity_type")
+                  or elem.get("metric_type")
+                  or subject.split(":", 1)[0])
+    metric = canonical_metric(str(metric_raw))
+    company = str(elem.get("company") or "").strip()
+    if not company and ":" in subject:
+        company = subject.split(":", 1)[1].strip()
+    period = normalize_period(str(elem.get("period") or ""))
+    value_raw = elem.get("value")
+    unit = str(elem.get("unit") or "").strip()
+    if value_raw is None or str(value_raw).strip() == "":
+        parsed = parse_numeric(str(elem.get("object") or ""))
+        value, unit = parsed.magnitude, unit or parsed.unit
+    else:
+        try:
+            value = Decimal(str(value_raw))
+        except InvalidOperation:
+            parsed = parse_numeric(str(value_raw))
+            value, unit = parsed.magnitude, unit or parsed.unit
+        else:
+            if not value.is_finite() or abs(value.adjusted()) > 30:
+                raise NotNumeric(f"value {value_raw!r} is not a finite figure in range")
+    if unit == "%":
+        unit = "percent"
+    return make_triplet(
+        metric_type=metric, value=value, unit=unit, company=company or None,
+        period=period, source_doc=doc_id, subject=subject or None,
+        relation=str(elem.get("relation") or "").strip() or None,
+        obj=str(elem["object"]).strip() if elem.get("object") else None,
+    )
+
+
+def _reference_parse(elements: list, doc_id: str):
+    """Triplets and rejections of the reference path: make_triplet, then the
+    full validate_triplet, id check included."""
+    triplets, rejected = [], []
+    for elem in elements:
+        if not isinstance(elem, dict):
+            violations = ("NotAnObject",)
+        else:
+            try:
+                triplet = _reference_triplet(elem, doc_id)
+            except (NotNumeric, InvalidOperation):
+                violations = ("ValueNotNumeric",)
+            except EmptyAfterNormalization:
+                violations = ("MetricEmpty",)
+            except (ValueError, KeyError, TypeError) as exc:
+                violations = (f"Unmappable:{type(exc).__name__}",)
+            else:
+                violations = tuple(validate_triplet(triplet))
+        if violations:
+            rejected.append((json.dumps(elem), violations))
+        else:
+            triplets.append(triplet)
+    return tuple(triplets), tuple(rejected)
+
+
+@given(st.lists(json_elements, max_size=6))
+@example([ENTERGY_ELEMENT, dict(ENTERGY_ELEMENT, relation="WAS"), {"value": 7, "subject": "x"},
+          dict(ENTERGY_ELEMENT, object="approximately 5829"), {"object": "$5 million"}])
+def test_parser_matches_the_fully_validated_reference(elements):
+    result = parse_extraction_response(json.dumps(elements), "fuzz-doc")
+    assert (result.triplets, result.rejected) == _reference_parse(elements, "fuzz-doc")
+
+
+def test_each_fresh_triplet_id_is_derived_once(monkeypatch):
+    from finkgqa import kg_schema
+
+    calls = []
+    triplet_id_for = kg_schema.triplet_id_for
+    monkeypatch.setattr(kg_schema, "triplet_id_for",
+                        lambda *fields: calls.append(fields) or triplet_id_for(*fields))
+    elements = [dict(ENTERGY_ELEMENT, value=str(v), object=f"{v} million USD")
+                for v in range(7)]
+    result = parse_extraction_response(json.dumps(elements), "d")
+    assert (len(result.triplets), result.rejected) == (7, ())
+    assert len(calls) == 7
+
+    calls.clear()
+    table = Table(header=("Year", "Revenue", "Costs"),
+                  rows=(("2020", "5", "3"), ("2021", "7", "n/a")))
+    assert len(extract_table_triplets(_doc(table))) == 3
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

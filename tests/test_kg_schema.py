@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from finkgqa.kg_schema import (
+    METRIC_RE,
+    RELATION_RE,
     EmptyAfterNormalization,
     NormalizedValue,
     NotNumeric,
@@ -14,6 +16,7 @@ from finkgqa.kg_schema import (
     TripletParseError,
     UNKNOWN_PERIOD,
     canonical_metric,
+    field_violations,
     make_triplet,
     normalize_period,
     parse_numeric,
@@ -214,6 +217,28 @@ def test_validate_flags_bad_relation_and_id():
     assert "RelationMalformed" in validate_triplet(bad)
     bad = t._replace(triplet_id="0" * 32)
     assert "TripletIdMismatch" in validate_triplet(bad)
+
+
+def test_field_checks_skip_only_the_id():
+    t = entergy_triplet()
+    bad = t._replace(triplet_id="0" * 32)
+    assert field_violations(bad) == []
+    assert validate_triplet(bad) == ["TripletIdMismatch"]
+
+
+@given(st.text(max_size=12), st.text(max_size=30))
+@example("NET_REVENUE", "HAS_VALUE")
+@example("net revenue", "HAS_VALUE_IN_2015")
+def test_memoised_field_checks_match_the_patterns(metric, relation):
+    t = entergy_triplet()._replace(metric_type=metric, relation=relation)
+    expected = []
+    if METRIC_RE.fullmatch(metric) is None:
+        expected.append("MetricNotCanonical")
+    if relation != "HAS_VALUE" and RELATION_RE.fullmatch(relation) is None:
+        expected.append("RelationMalformed")
+    assert field_violations(t) == expected
+    id_violation = [] if relation == "HAS_VALUE_IN_2015" else ["TripletIdMismatch"]
+    assert validate_triplet(t) == expected + id_violation
 
 
 def test_has_value_relation_for_unknown_period():

@@ -738,6 +738,25 @@ def test_only_ingest_warns_of_a_skipped_record(tmp_path, corpus_path, caplog):
     assert skips == [f"skipping record 2 of {corpus}: a NoneType, not an object"]
 
 
+def test_only_ingest_warns_of_a_padded_table_row(tmp_path, corpus_path, caplog):
+    """The mock's answer key parses the same raw file, but does not repeat
+    `ingest`'s warning for a table row it pads."""
+    records = json.loads(corpus_path.read_text())
+    records[1]["table"][1] = records[1]["table"][1][:-1]  # one short row
+    corpus = tmp_path / "short_row.json"
+    corpus.write_text(json.dumps(records))
+    cfg = _config(tmp_path, corpus)
+    cfg.data = {"test": str(corpus)}
+    pl._read_answer_key.cache_clear()  # a memoised key would hide a second read
+    padded = f"doc {records[1]['id']}: padding short table row 0 (1 -> 2 cells)"
+    with caplog.at_level("WARNING"):
+        pl.cmd_ingest(cfg)
+        assert [r.getMessage() for r in caplog.records] == [padded]
+        caplog.clear()
+        pl.cmd_extract(cfg)
+    assert [r.getMessage() for r in caplog.records if "table row" in r.getMessage()] == []
+
+
 # ---------------------------------------------------------------------------
 # Config handling
 

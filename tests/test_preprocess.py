@@ -115,6 +115,78 @@ def test_document_record_round_trips(record):
     assert parse_record(json.loads(json.dumps(document_record(doc)))) == doc
 
 
+def _reference_sentences(value, name):
+    """Text-field parsing that checks and converts item by item."""
+    if not value:
+        return ()
+    if isinstance(value, str):
+        value = [value]
+    elif not isinstance(value, (list, tuple)) or any(isinstance(s, (list, dict)) for s in value):
+        raise MalformedRecord(f"{name} is neither text nor a list of sentences")
+    return tuple(str(s) for s in value if str(s).strip())
+
+
+def _reference_table(raw_table, doc_id):
+    """Table parsing that checks and converts cell by cell, and its repair notes."""
+    rows = raw_table or []
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise MalformedRecord(f"record {doc_id} has a table that is not a list of lists")
+    if any(isinstance(c, (list, dict)) for row in rows for c in row):
+        raise MalformedRecord(f"record {doc_id} has a table cell that is a list or an object")
+    rows = [[str(c) for c in row] for row in rows]
+    if not rows:
+        return Table(), []
+    width, data, notes = len(rows[0]), [], []
+    for i, row in enumerate(rows[1:]):
+        if len(row) < width:
+            notes.append(f"doc {doc_id}: padding short table row {i} "
+                         f"({len(row)} -> {width} cells)")
+            row = row + [""] * (width - len(row))
+        elif len(row) > width:
+            notes.append(f"doc {doc_id}: truncating long table row {i} "
+                         f"({len(row)} -> {width} cells)")
+            row = row[:width]
+        data.append(tuple(row))
+    return Table(header=tuple(rows[0]), rows=tuple(data)), notes
+
+
+# Any JSON value but an object: text, numbers, null, booleans and nested lists.
+_item = st.one_of(_text, st.integers(-10**6, 10**6), st.floats(allow_nan=False),
+                  st.none(), st.booleans(), st.lists(_text, max_size=2))
+_items = st.one_of(st.lists(_text, max_size=3), st.lists(_item, max_size=3))
+
+
+@given(st.one_of(st.none(), _text, _items), st.one_of(st.none(), _items),
+       st.lists(_items, max_size=4), st.booleans())
+@example(["a", 1.5], [None, "b"], [["Year", 2021], ["2020", None, "x"], ["2021"]], False)
+@example(["a", ["b"]], None, [], False)
+@example(None, None, [["Year", "Revenue"], ["2020", ["5"]]], False)
+@example("one", None, [["Year", "Revenue"], ("2020", "5")], False)
+def test_parse_record_matches_the_per_item_reference(pre, post, table, as_tuples):
+    """All-text fields take a one-pass check; any other record parses, or is
+    refused, exactly as the per-item reference does."""
+    if as_tuples:  # the shape of an in-memory `document_record`
+        table = [tuple(row) for row in table]
+    record = {"id": "d", "pre_text": pre, "post_text": post, "table": table,
+              "qa": {"question": "q?", "answer": "a"}}
+    try:
+        sentences = (_reference_sentences(pre, "pre_text"),
+                     _reference_sentences(post, "post_text"))
+        expected_table, expected_notes = _reference_table(table, "d")
+        expected = (*sentences, expected_table)
+        if not expected[0] and not expected[1] and expected_table.is_empty():
+            raise MalformedRecord("record d has no text and no table")
+    except MalformedRecord as exc:
+        with pytest.raises(MalformedRecord) as raised:
+            parse_record(record)
+        assert str(raised.value) == str(exc)
+        return
+    repairs = []
+    doc = parse_record(record, repairs)
+    assert (doc.pre_text, doc.post_text, doc.table) == expected
+    assert repairs == expected_notes
+
+
 def test_document_record_round_trips_the_fixture(corpus_docs):
     for doc in corpus_docs:
         assert parse_record(json.dumps(document_record(doc))) == doc

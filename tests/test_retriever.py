@@ -194,6 +194,33 @@ def test_cos_sim_column_identity():
     assert abs(cos[0] - 1.0) < 1e-6
 
 
+def _per_row_cos(question, triplets, provider):
+    """The cos_sim column as one np.dot per row of the triplet embeddings."""
+    q = provider.embed(question.text)
+    numerators, denominators = provider.embed_fractions([t.text() for t in triplets])
+    T = numerators / denominators[:, None]
+    return np.clip([np.dot(q, row) for row in T], -1.0, 1.0)
+
+
+@pytest.mark.parametrize("n,dim", [(1, 16), (5, 32), (105, 64), (40, 301)])
+def test_cos_sim_column_is_the_per_row_dot_bit_for_bit(n, dim):
+    rng = np.random.default_rng(n * 1000 + dim)
+    triplets = [_triplet(metric=f"METRIC_{i}", year=2000 + i % 20, value=str(i))
+                for i in range(n)]
+    rows = rng.standard_normal((n, dim))
+    question_vec = rng.standard_normal(dim)
+    providers = [
+        LocalHashEmbedder(dim=dim),
+        _FixedVectors(question_vec / np.linalg.norm(question_vec),
+                      rows / np.linalg.norm(rows, axis=1)[:, None]),
+        _FixedVectors(question_vec, rows),  # unnormalised: the clip bites
+    ]
+    question = _question("what was metric 3 in 2003 versus 2004?")
+    for provider in providers:
+        assert _cos_column(question, triplets, provider).tobytes() == \
+            _per_row_cos(question, triplets, provider).tobytes()
+
+
 def _text_triplet(text):
     """A triplet whose text() has exactly the tokens of `text`."""
     return make_triplet("NET_REVENUE", Decimal(1), subject=text, relation="", obj="",
