@@ -115,17 +115,14 @@ class LocalHashEmbedder:
         self._features: dict[str, bytes] = {}
 
     def embed(self, text: str) -> np.ndarray:
-        return self.embed_many([text])[0]
-
-    def embed_many(self, texts: list[str]) -> np.ndarray:
-        """Rows equal to `embed(text)`, for every text in one pass."""
-        numerators, denominators = self.embed_fractions(texts)
-        return numerators / denominators[:, None]
+        numerators, denominators = self.embed_fractions([text])
+        return (numerators / denominators[:, None])[0]
 
     def embed_fractions(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """`embed_many(texts)` as (numerators, denominators): the texts' signed
-        bucket counts, in the narrowest signed integer dtype that holds them,
-        and their norms. Dividing gives the rows' bits."""
+        """Every text's embedding in one pass, as (numerators, denominators):
+        the texts' signed bucket counts, in the narrowest signed integer dtype
+        that holds them, and their norms. Row i of the quotient has the bits
+        of `embed(texts[i])`."""
         return _hashed_bags(texts, self.dim, self._pieces, self._features)
 
 
@@ -138,19 +135,15 @@ class RemoteEmbedder(ProviderClient):
         payload = {"model": self.cfg.model, "input": text}
         return self._post("/embeddings", payload, self._unit_vector)
 
-    def embed_many(self, texts: list[str]) -> np.ndarray:
-        """One row per text, each through `embed` and its cache.
+    def embed_fractions(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """One `embed` row per text, each through its cache, over denominators
+        of 1.0, which divide back exactly.
 
-        No texts give a (0, 0) array without a request: the width is the server's.
+        No texts give (0, 0) numerators without a request: the width is the server's.
         """
         if not texts:
-            return np.empty((0, 0))
-        return np.stack([self.embed(text) for text in texts])
-
-    def embed_fractions(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """`embed_many(texts)` over denominators of 1.0, which divide back exactly."""
-        rows = self.embed_many(texts)
-        return rows, np.ones(len(rows))
+            return np.empty((0, 0)), np.ones(0)
+        return np.stack([self.embed(text) for text in texts]), np.ones(len(texts))
 
     @staticmethod
     def _unit_vector(body: dict) -> np.ndarray:

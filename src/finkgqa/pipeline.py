@@ -410,7 +410,7 @@ def cmd_train_retriever(cfg: PipelineConfig) -> dict:
             if doc is None:
                 continue
             run_labels = retriever.label_triplets(doc, run)
-            X.append(*retriever.feature_parts(doc.question, run, embedder))
+            X.append(*retriever.build_features(doc.question, run, embedder))
             labels.extend(run_labels)
             doc_id = _json_str(doc.id)
             manifest.writelines(_MANIFEST_LINE % (doc_id, _json_str(t.triplet_id), label)

@@ -66,15 +66,22 @@ def metric_overlap(metric_type: str, question_tokens: set[str]) -> float:
     return len(metric_tokens & question_tokens) / len(union)
 
 
-def _parts(question: QuestionRecord, triplets: list[Triplet], provider
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(q, numerators, denominators, T, S): `feature_parts` and the triplet
-    embeddings T = numerators / denominators, which cos_sim needs."""
+def build_features(question: QuestionRecord, triplets: list[Triplet], provider
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Feature rows of one question against its candidates, in input order, as
+    (q, numerators, denominators, S).
+
+    Row i is [q | numerators[i] / denominators[i] | S[i]]: q is the question
+    embedding, the quotient is candidate i's embedding, from one
+    `provider.embed_fractions` call, and S holds its STRUCTURAL_COLUMNS. The
+    question-side work (embedding, year, tokens) is done once. Training and
+    `score` both gather the rows through a `GroupedFeatures`.
+    """
     q = provider.embed(question.text)
     dim = q.shape[0]
     S = np.empty((len(triplets), N_STRUCTURAL), dtype=np.float64)
     if not triplets:
-        return q, np.empty((0, dim)), np.empty(0), np.empty((0, dim)), S
+        return q, np.empty((0, dim)), np.empty(0), S
     numerators, denominators = provider.embed_fractions([t.text() for t in triplets])
     if numerators.shape[1] != dim:
         raise DimensionMismatch(f"question dim {dim} vs triplet dim {numerators.shape[1]}")
@@ -95,40 +102,11 @@ def _parts(question: QuestionRecord, triplets: list[Triplet], provider
     S[:, 3] = [overlap[t.metric_type] for t in triplets]
     S[:, 4] = [bool(t.company) and t.company.lower() in q_lower for t in triplets]
     S[:, 5] = ["percent" in t.unit.lower() for t in triplets]
-    return q, numerators, denominators, T, S
-
-
-def feature_parts(question: QuestionRecord, triplets: list[Triplet], provider
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`build_features` rows for one question as (q, numerators, denominators, S).
-
-    Row i is [q | numerators[i] / denominators[i] | S[i]]: q is the question
-    embedding, the quotient is candidate i's embedding, from one
-    `provider.embed_fractions` call, and S holds its STRUCTURAL_COLUMNS. The
-    question-side work (embedding, year, tokens) is done once.
-    """
-    q, numerators, denominators, _, S = _parts(question, triplets, provider)
     return q, numerators, denominators, S
 
 
-def build_features(question: QuestionRecord, triplets: list[Triplet],
-                   provider) -> np.ndarray:
-    """Feature rows for one question against its candidates, in input order.
-
-    Each row is [question embedding, triplet embedding, STRUCTURAL_COLUMNS],
-    from the parts `feature_parts` returns.
-    """
-    q, _, _, T, S = _parts(question, triplets, provider)
-    dim = q.shape[0]
-    X = np.empty((len(S), feature_dim(dim)), dtype=np.float64)
-    X[:, :dim] = q
-    X[:, dim:2 * dim] = T
-    X[:, 2 * dim:] = S
-    return X
-
-
 class GroupedFeatures:
-    """`build_features` rows of many questions, kept as `feature_parts`.
+    """Feature rows of many questions, kept as `build_features` returns them.
 
     Row i is [Q[doc[i]] | N[i] / D[i] | S[i]]: Q holds one question embedding
     per group of rows, doc maps each row to its group, and the triplet
@@ -138,8 +116,8 @@ class GroupedFeatures:
     At dim 256 with int8 counts a row is about 320 bytes (dim + 8·8: the
     counts, its denominator, STRUCTURAL_COLUMNS and doc), plus 8·dim per
     group, against 8·(2·dim+6) = 4,144 when dense. The rows are exact:
-    indexing divides N by D as the embedder does, so `train` sees the
-    float64 values of the dense matrix. It gathers into a reused scratch
+    indexing divides N by D as the embedder does, so `train` and `score`
+    see the float64 values of the dense matrix. It gathers into a reused scratch
     buffer, which the next index overwrites.
 
     Groups are appended one at a time, so a caller that streams its
@@ -157,7 +135,7 @@ class GroupedFeatures:
 
     def append(self, q: np.ndarray, numerators: np.ndarray, denominators: np.ndarray,
                S: np.ndarray) -> None:
-        """Add one group's `feature_parts`, of at least one row. The first group
+        """Add one group's `build_features`, of at least one row. The first group
         sets the dimension, because an http embedder chooses its own."""
         if self.Q is None:
             self.Q = np.empty((0, q.shape[0]))
@@ -413,10 +391,13 @@ def label_triplets(doc: FinDocument, triplets: list[Triplet]) -> list[int]:
 
 def score(question: QuestionRecord, triplets: list[Triplet], model: MlpModel,
           provider) -> np.ndarray:
-    """Relevance score of every candidate, in input order, from one forward pass."""
+    """Relevance score of every candidate, in input order, from one forward pass
+    over the rows that training would gather for them."""
     if not triplets:
         return np.empty(0)
-    return forward_batch(model, build_features(question, triplets, provider))
+    X = GroupedFeatures()
+    X.append(*build_features(question, triplets, provider))
+    return forward_batch(model, X[np.arange(len(triplets))])
 
 
 def filter_topk(question: QuestionRecord, triplets: list[Triplet], model: MlpModel,

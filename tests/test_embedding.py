@@ -15,7 +15,8 @@ from finkgqa.embedding import (
 from finkgqa.kg_schema import make_triplet
 from finkgqa.llm_client import LlmUnavailable, ProviderConfig, ResponseCache
 from finkgqa.preprocess import QuestionRecord
-from finkgqa.retriever import build_features
+
+from feature_reference import dense_reference
 
 
 def fresh_embed(text: str, dim: int = 256) -> np.ndarray:
@@ -44,7 +45,7 @@ def test_min_dimension():
     with pytest.raises(ValueError):
         LocalHashEmbedder(dim=8).embed("x")
     with pytest.raises(ValueError):
-        LocalHashEmbedder(dim=8).embed_many(["x"])
+        LocalHashEmbedder(dim=8).embed_fractions(["x"])
 
 
 def test_repeated_token_same_direction():
@@ -67,7 +68,7 @@ def test_similarity_ordering():
 
 
 def test_cosine_dimension_mismatch():
-    # The cosine of two embeddings is the cos_sim column of build_features;
+    # The cosine of two embeddings is the cos_sim column of the feature rows;
     # embeddings of different widths must be rejected in either role.
     a = fresh_embed("x", dim=32)
     b = fresh_embed("x", dim=64)
@@ -86,7 +87,7 @@ def test_cosine_dimension_mismatch():
     triplets = [make_triplet("NET_REVENUE", Decimal(1), subject="x", source_doc="d")]
     for q_emb, t_emb in ((a, b), (b, a)):
         with pytest.raises(DimensionMismatch):
-            build_features(question, triplets, Fixed(q_emb, t_emb))
+            dense_reference(question, triplets, Fixed(q_emb, t_emb))
 
 
 def _reference_embedding(text: str, dim: int) -> np.ndarray:
@@ -110,6 +111,12 @@ def _reference_embedding(text: str, dim: int) -> np.ndarray:
         vec[0] = 1.0
         norm = 1.0
     return vec / norm
+
+
+def quotient_rows(embedder, texts: list[str]) -> np.ndarray:
+    """The rows that `embedder.embed_fractions(texts)` stands for."""
+    numerators, denominators = embedder.embed_fractions(texts)
+    return numerators / denominators[:, None]
 
 
 texts = st.text(alphabet="abcdefg 0123456789", min_size=1, max_size=30).filter(
@@ -147,10 +154,10 @@ def test_matches_independent_reimplementation(batch, dim):
     assert [fresh_embed(text, dim=dim).tobytes() for text in batch] == expected
     embedder = LocalHashEmbedder(dim)
     # One batch in which every piece recurs, then the memo those calls warmed.
-    rows = embedder.embed_many(batch + batch[::-1])
+    rows = quotient_rows(embedder, batch + batch[::-1])
     assert [row.tobytes() for row in rows] == expected + expected[::-1]
     assert [embedder.embed(text).tobytes() for text in batch] == expected
-    assert [row.tobytes() for row in embedder.embed_many(batch)] == expected
+    assert [row.tobytes() for row in quotient_rows(embedder, batch)] == expected
 
 
 def test_cancelling_text_pins_first_axis():
@@ -183,7 +190,7 @@ def test_remote_embedder_normalizes_and_caches(tmp_path):
     assert np.allclose(first, [0.6, 0.8])
     second = embedder.embed("hello")
     assert np.array_equal(first, second)
-    assert embedder.embed_many(["hello", "hello"]).tobytes() == first.tobytes() * 2
+    assert quotient_rows(embedder, ["hello", "hello"]).tobytes() == first.tobytes() * 2
     assert calls == [("http://e/embeddings", {"model": "m", "input": "hello"})]
 
 
@@ -244,17 +251,17 @@ def test_remote_zero_vector_pins_first_axis():
     assert embedder.embed("hello").tolist() == [1.0, 0.0]
 
 
-def test_embed_many_of_no_texts_is_zero_rows_without_a_request():
+def test_embed_fractions_of_no_texts_is_zero_rows_without_a_request():
     calls = []
 
     def transport(url, payload, headers, timeout):
         calls.append(payload)
         return 200, {"data": [{"embedding": [3.0, 4.0]}]}
 
-    remote = RemoteEmbedder(_remote_cfg(), transport=transport).embed_many([])
+    remote = quotient_rows(RemoteEmbedder(_remote_cfg(), transport=transport), [])
     assert remote.shape[0] == 0 and remote.dtype == np.float64
     assert calls == []
-    local = LocalHashEmbedder(dim=48).embed_many([])
+    local = quotient_rows(LocalHashEmbedder(dim=48), [])
     assert local.shape == (0, 48) and local.dtype == np.float64
 
 
@@ -313,17 +320,17 @@ def test_local_embedder_shared_by_threads_stays_exact():
 
 
 @given(st.lists(texts, min_size=1, max_size=8), st.sampled_from([16, 64]))
-def test_embed_many_rows_equal_embed(batch, dim):
+def test_embed_fractions_rows_equal_embed(batch, dim):
     embedder = LocalHashEmbedder(dim=dim)
-    rows = embedder.embed_many(batch + [CANCELLING] + batch)
+    rows = quotient_rows(embedder, batch + [CANCELLING] + batch)
     assert rows.shape == (2 * len(batch) + 1, dim)
     fresh = LocalHashEmbedder(dim=dim)  # an empty memo on the per-text side
     for text, row in zip(batch + [CANCELLING] + batch, rows):
         assert row.tobytes() == fresh.embed(text).tobytes()
 
 
-def test_embed_many_rejects_token_free_text():
+def test_embed_fractions_rejects_token_free_text():
     embedder = LocalHashEmbedder(dim=32)
     with pytest.raises(EmptyText):
-        embedder.embed_many(["net revenue", "  !!! ", "eps"])
-    assert embedder.embed_many([]).shape == (0, 32)
+        embedder.embed_fractions(["net revenue", "  !!! ", "eps"])
+    assert quotient_rows(embedder, []).shape == (0, 32)

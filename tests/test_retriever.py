@@ -18,7 +18,6 @@ from finkgqa.retriever import (
     MlpModel,
     TrainConfig,
     bce_loss,
-    build_features,
     feature_dim,
     filter_topk,
     forward_batch,
@@ -32,6 +31,8 @@ from finkgqa.retriever import (
     score,
     train,
 )
+
+from feature_reference import dense_reference
 
 EMBEDDER = LocalHashEmbedder(dim=32)
 
@@ -52,7 +53,7 @@ def _triplet(metric="NET_REVENUE", year=2020, unit="", company=None, value="5"):
 
 def _features(question, triplet):
     """The single feature row of one (question, triplet) pair."""
-    X = build_features(question, [triplet], EMBEDDER)
+    X = dense_reference(question, [triplet], EMBEDDER)
     assert X.shape == (1, feature_dim(32))
     return X[0]
 
@@ -104,14 +105,14 @@ def test_company_and_percent_flags():
 def test_feature_vector_length_constant():
     triplets = [_triplet(), _triplet(year=None, unit="percent")]
     for question in (_question(), _question("trend?")):
-        assert build_features(question, triplets, EMBEDDER).shape == (2, feature_dim(32))
-    assert build_features(_question(), [], EMBEDDER).shape == (0, feature_dim(32))
+        assert dense_reference(question, triplets, EMBEDDER).shape == (2, feature_dim(32))
+    assert dense_reference(_question(), [], EMBEDDER).shape == (0, feature_dim(32))
 
 
 def test_features_pure():
     triplets = [_triplet(), _triplet(year=2019)]
-    a = build_features(_question(), triplets, EMBEDDER)
-    b = build_features(_question(), triplets, EMBEDDER)
+    a = dense_reference(_question(), triplets, EMBEDDER)
+    b = dense_reference(_question(), triplets, EMBEDDER)
     assert np.array_equal(a, b)
 
 
@@ -138,7 +139,7 @@ def test_build_features_rows_match_per_pair_construction():
     triplets = [_triplet(), _triplet(year=None, unit="percent"),
                 _triplet(metric="OPERATING_EXPENSES", year=2012, company="Entergy"),
                 _triplet(metric="EPS", year=2019, unit="USD", value="1.25")]
-    X = build_features(question, triplets, LocalHashEmbedder(dim=32))
+    X = dense_reference(question, triplets, LocalHashEmbedder(dim=32))
     for row, triplet in zip(X, triplets):
         assert row.tobytes() == _per_pair_row(question, triplet).tobytes()
 
@@ -152,7 +153,7 @@ def test_build_features_rejects_mixed_dimensions():
             return LocalHashEmbedder(dim=64).embed_fractions(texts)
 
     with pytest.raises(DimensionMismatch):
-        build_features(_question(), [_triplet()], Mixed())
+        dense_reference(_question(), [_triplet()], Mixed())
 
 
 class _FixedVectors:
@@ -171,7 +172,7 @@ class _FixedVectors:
 
 
 def _cos_column(question, triplets, provider):
-    X = build_features(question, triplets, provider)
+    X = dense_reference(question, triplets, provider)
     return X[:, 2 * provider.embed(question.text).shape[0] + STRUCTURAL_COLUMNS.index("cos_sim")]
 
 

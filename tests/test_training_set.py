@@ -7,7 +7,8 @@ numerators and denominator, and the structural columns). These tests hold it
 to the dense matrix it replaces: the same rows bit for bit, the same model
 file, and a peak well below that matrix's size. The triplet store is read
 one document's run of lines at a time, and each run's parsed triplets are
-freed once its rows are appended.
+freed once its rows are appended. `score` gathers one question's rows through
+a `GroupedFeatures` too, and is held to the same dense reference.
 """
 
 import gc
@@ -28,6 +29,8 @@ from finkgqa.embedding import DimensionMismatch, LocalHashEmbedder, RemoteEmbedd
 from finkgqa.kg_schema import parse_triplets_file
 from finkgqa.llm_client import ProviderConfig
 from finkgqa.preprocess import QuestionRecord
+
+from feature_reference import dense_reference
 
 METRICS = ("net revenue", "operating expenses", "interest expense", "cost of sales",
            "net income", "long-term debt", "capital expenditures", "inventories",
@@ -75,7 +78,7 @@ def _config(tmp_path: Path, corpus: Path, epochs: int) -> pl.PipelineConfig:
 
 def _dense_training_set(cfg: pl.PipelineConfig):
     """The dense construction the grouped one replaced: per-document
-    `build_features` blocks joined by `np.concatenate`."""
+    `dense_reference` blocks joined by `np.concatenate`."""
     docs = pl._load_documents(cfg, "train")
     triplets = parse_triplets_file(pl.triplets_path(cfg, "train").read_text(encoding="utf-8"))
     by_doc: dict[str, list] = {}
@@ -88,7 +91,7 @@ def _dense_training_set(cfg: pl.PipelineConfig):
         if not doc_triplets:
             continue
         labels.extend(retriever.label_triplets(doc, doc_triplets))
-        blocks.append(retriever.build_features(doc.question, doc_triplets, embedder))
+        blocks.append(dense_reference(doc.question, doc_triplets, embedder))
     return np.concatenate(blocks), np.asarray(labels, dtype=np.float64)
 
 
@@ -133,7 +136,7 @@ def test_grouped_rows_equal_dense_rows(sizes, dim, batch_size, seed, dtypes):
     """Document j's numerators take dtypes[j], over their full range, so the
     store widens as later documents need."""
     rng = np.random.default_rng(seed)
-    parts, blocks = [], []  # per document: `feature_parts` output, and its dense rows
+    parts, blocks = [], []  # per document: `build_features` output, and its dense rows
     for size, dtype in zip(sizes, dtypes):
         q = rng.normal(size=dim)
         if dtype == "float64":  # http-like: unit rows over 1.0
@@ -162,18 +165,19 @@ def _piece_triplet(text: str, doc: str) -> kg_schema.Triplet:
 
 def _rows_from_provider(provider, documents: list[list[str]],
                         dim: int) -> retriever.GroupedFeatures:
-    """Grouped rows of `provider`'s `feature_parts` equal its `build_features`
-    rows, for one question per document against triplets with these texts."""
+    """Grouped rows of `provider`'s `build_features` equal its dense
+    reference rows, for one question per document against triplets with these
+    texts."""
     questions = [QuestionRecord(text=f"what was net revenue of corp-{j} in 2019?",
                                 gold_answer="5") for j in range(len(documents))]
     triplets = [[_piece_triplet(text, f"corp-{j}") for text in texts]
                 for j, texts in enumerate(documents)]
-    dense = np.concatenate([retriever.build_features(q, ts, provider)
+    dense = np.concatenate([dense_reference(q, ts, provider)
                             for q, ts in zip(questions, triplets)])
     assert dense.shape[1] == retriever.feature_dim(dim)
     X = retriever.GroupedFeatures()
     for q, ts in zip(questions, triplets):
-        X.append(*retriever.feature_parts(q, ts, provider))
+        X.append(*retriever.build_features(q, ts, provider))
     for batch_size in (1, 3, 64):
         _assert_batches_equal(X, dense, batch_size, np.random.default_rng(batch_size))
     return X
@@ -217,16 +221,55 @@ def test_grouped_rows_from_an_http_embedder_equal_dense_rows():
     assert X.N.dtype == np.float64
 
 
+_QUESTION_WORDS = ["what", "was", "net", "revenue", "operating", "expenses", "of",
+                   "entergy", "in", "2015", "2019", "percent", "change", "c", "7"]
+_METRIC_NAMES = ["NET_REVENUE", "OPERATING_EXPENSES", "TOTAL_ASSETS", "EPS", "NET_INCOME"]
+
+
+@pytest.mark.parametrize("kind", ["local", "http"])
+@settings(deadline=None)
+@given(words=st.lists(st.sampled_from(_QUESTION_WORDS), min_size=1, max_size=8),
+       cells=st.lists(st.tuples(st.sampled_from(_METRIC_NAMES),
+                                st.one_of(st.none(), st.integers(2010, 2021)),
+                                st.integers(-999, 99_999), st.booleans()),
+                      min_size=1, max_size=30, unique=True),
+       hidden=st.integers(1, 16), seed=st.integers(0, 2**16), k=st.integers(1, 12))
+@example(words=["c", "7"], cells=[("EPS", None, 7, True), ("EPS", 2019, 7, False)],
+         hidden=4, seed=0, k=1)  # at dim 16 the question's bag cancels to zero
+def test_scores_from_packed_rows_equal_the_dense_reference(kind, words, cells, hidden,
+                                                          seed, k):
+    """`score` gathers its rows through a `GroupedFeatures`, as training does:
+    the scores have the bytes of one forward pass over the dense reference,
+    and `filter_topk` picks the same (id, score) list as sorting those."""
+    provider, dim = ((LocalHashEmbedder(dim=16), 16) if kind == "local"
+                     else (_remote_embedder(lambda: 24), 24))
+    question = QuestionRecord(text=" ".join(words), gold_answer="x")
+    triplets = [kg_schema.make_triplet(
+        metric, Decimal(value), "percent" if percent else "million USD",
+        company="Entergy" if value % 2 else None,
+        period=kg_schema.Period(kg_schema.PeriodKind.ANNUAL, year) if year
+        else kg_schema.UNKNOWN_PERIOD, source_doc="d")
+        for metric, year, value, percent in cells]
+    model = retriever.init_model(retriever.feature_dim(dim), hidden, seed)
+
+    dense = retriever.forward_batch(model, dense_reference(question, triplets, provider))
+    assert retriever.score(question, triplets, model, provider).tobytes() == dense.tobytes()
+    expected = sorted(((t.triplet_id, float(s)) for t, s in zip(triplets, dense)),
+                      key=lambda pair: (-pair[1], pair[0]))[:k]
+    picked = retriever.filter_topk(question, triplets, model, provider, k)
+    assert [(t.triplet_id, s) for t, s in picked] == expected
+
+
 def test_grouped_features_reject_a_document_of_another_width():
     """An http embedder whose dimension changes between documents."""
     width = [24]
     embedder = _remote_embedder(lambda: width[0])
     question = QuestionRecord(text="what was net revenue in 2019?", gold_answer="5")
     X = retriever.GroupedFeatures()
-    X.append(*retriever.feature_parts(question, [_piece_triplet("a b", "d0")], embedder))
+    X.append(*retriever.build_features(question, [_piece_triplet("a b", "d0")], embedder))
     width[0] = 32
-    parts = retriever.feature_parts(QuestionRecord(text="and in 2018?", gold_answer="4"),
-                                    [_piece_triplet("c d", "d1")], embedder)
+    parts = retriever.build_features(QuestionRecord(text="and in 2018?", gold_answer="4"),
+                                     [_piece_triplet("c d", "d1")], embedder)
     with pytest.raises(DimensionMismatch):
         X.append(*parts)
 
@@ -295,15 +338,49 @@ def test_featurisation_holds_one_document_and_one_parse_block(tmp_path, monkeypa
     bound = max(per_doc.values()) + kg_schema.PARSE_BLOCK
     assert sum(per_doc.values()) > 10 * bound
 
-    feature_parts = retriever.feature_parts
+    build_features = retriever.build_features
     live_at_featurising = []
 
-    def counting_feature_parts(*args, **kwargs):
+    def counting_build_features(*args, **kwargs):
         live_at_featurising.append(_live_triplets() - before)
-        return feature_parts(*args, **kwargs)
+        return build_features(*args, **kwargs)
 
-    monkeypatch.setattr(retriever, "feature_parts", counting_feature_parts)
+    monkeypatch.setattr(retriever, "build_features", counting_build_features)
     before = _live_triplets()  # whatever earlier tests left alive
     pl.cmd_train_retriever(cfg)
     assert len(live_at_featurising) == len(per_doc)
     assert max(live_at_featurising) <= bound, live_at_featurising
+
+
+def test_training_and_answering_featurise_through_build_features(tmp_path, monkeypatch):
+    """`train-retriever` calls `build_features` once per train document with
+    triplets and `answer --mode kg` once per test question, so one wrapper of
+    it sees every featurisation."""
+    corpus = _write_corpus(tmp_path / "corpus.json", n_docs=6)
+    cfg = pl.PipelineConfig(
+        seed=5, data={"train": str(corpus), "test": str(corpus)},
+        output_dir=str(tmp_path / "out"), cache_dir=str(tmp_path / "cache"),
+        chat=pl.ProviderConfig(kind="mock", answer_key=str(corpus)),
+        extraction_backend="table", epochs=1)
+    pl.cmd_ingest(cfg)
+    pl.cmd_extract(cfg)
+    with_triplets = {
+        split: Counter(t.source_doc for t in parse_triplets_file(
+            pl.triplets_path(cfg, split).read_text(encoding="utf-8")))
+        for split in ("train", "test")}
+    questions = [doc.id for doc in pl._load_documents(cfg, "test")]
+    assert set(questions) == set(with_triplets["test"])  # every question has candidates
+
+    build_features = retriever.build_features
+    featurised = []
+
+    def counting_build_features(question, triplets, provider):
+        featurised.append(triplets[0].source_doc)
+        return build_features(question, triplets, provider)
+
+    monkeypatch.setattr(retriever, "build_features", counting_build_features)
+    pl.cmd_train_retriever(cfg)
+    assert Counter(featurised) == Counter(set(with_triplets["train"]))
+    featurised.clear()
+    assert pl.cmd_answer(cfg, "test", "kg")["n_errors"] == 0
+    assert sorted(featurised) == sorted(questions)
