@@ -24,6 +24,8 @@ from .kg_schema import (
     make_triplet,
     normalize_period,
     parse_numeric,
+    relation_for_period,
+    render_decimal,
 )
 from .llm_client import ChatClient, LlmTruncated, LlmUnavailable
 from .preprocess import FinDocument, linearize_table
@@ -35,6 +37,9 @@ DEFAULT_CHUNK_OVERLAP = 2
 # A model's literal value beyond 10**±30 is no reported figure; rendering one
 # with a huge exponent in plain notation would also exhaust memory.
 _MAX_VALUE_EXPONENT = 30
+# What a reply element's field may hold: a JSON scalar, not a list or an object.
+# Checked in one C-level pass per element, as preprocess._all_text checks text.
+_SCALAR_TYPES = {str, int, float, bool, type(None)}
 
 
 class NoJsonFound(ValueError):
@@ -87,7 +92,9 @@ def _first_json_array(raw: str):
 
 def _triplet_from_element(elem: dict, doc_id: str) -> Triplet:
     """The triplet `make_triplet` builds from one reply element; each field is
-    read once."""
+    read once. A field that holds a list or an object raises TypeError."""
+    if not set(map(type, elem.values())) <= _SCALAR_TYPES:
+        raise TypeError("an element field holds a list or an object")
     get = elem.get
     subject = str(get("subject") or "").strip()
     metric_raw = (get("financial_metric_entity_type")
@@ -132,6 +139,22 @@ def _triplet_from_element(elem: dict, doc_id: str) -> Triplet:
     )
 
 
+def _element_triplet(elem, doc_id: str) -> Triplet | tuple[str, ...]:
+    """The triplet one reply element states, or the invariants it violates."""
+    if not isinstance(elem, dict):
+        return ("NotAnObject",)
+    try:
+        triplet = _triplet_from_element(elem, doc_id)
+    except (NotNumeric, InvalidOperation):
+        return ("ValueNotNumeric",)
+    except EmptyAfterNormalization:
+        return ("MetricEmpty",)
+    except (ValueError, KeyError, TypeError) as exc:
+        return (f"Unmappable:{type(exc).__name__}",)
+    # made by make_triplet, so its id matches its fields
+    return tuple(field_violations(triplet)) or triplet
+
+
 def parse_extraction_response(raw: str, doc_id: str) -> ExtractionResult:
     """Pull the first JSON array out of a model response and validate every element.
 
@@ -139,64 +162,56 @@ def parse_extraction_response(raw: str, doc_id: str) -> ExtractionResult:
     triplets are kept in reply order, repeats included: `DocumentExtractor.extract`
     de-duplicates a document's triplets across all of its chunks.
     """
-    elements = _first_json_array(raw)
     triplets: list[Triplet] = []
     rejected: list[tuple[str, tuple[str, ...]]] = []
-    for elem in elements:
-        if not isinstance(elem, dict):
-            violations = ("NotAnObject",)
+    for elem in _first_json_array(raw):
+        result = _element_triplet(elem, doc_id)
+        if isinstance(result, Triplet):
+            triplets.append(result)
         else:
-            try:
-                triplet = _triplet_from_element(elem, doc_id)
-            except (NotNumeric, InvalidOperation):
-                violations = ("ValueNotNumeric",)
-            except EmptyAfterNormalization:
-                violations = ("MetricEmpty",)
-            except (ValueError, KeyError, TypeError) as exc:
-                violations = (f"Unmappable:{type(exc).__name__}",)
-            else:
-                # made by make_triplet, so its id matches its fields
-                violations = tuple(field_violations(triplet))
-        if violations:
             # Only a rejected element is serialised, for the audit file.
-            rejected.append((json.dumps(elem), violations))
-            continue
-        triplets.append(triplet)
+            rejected.append((json.dumps(elem), result))
     return ExtractionResult(doc_id=doc_id, triplets=tuple(triplets),
                             rejected=tuple(rejected))
 
 
-def extract_table_triplets(doc: FinDocument) -> list[Triplet]:
-    """Deterministic fallback: one triplet per numeric table cell.
+def cell_element(row_key: str, header: str, cell: str) -> dict | None:
+    """The reply element that states one table cell, the metric from the column
+    header and the period from the row key; None when the header holds no
+    metric or the cell no number. Both extraction backends read cells with it."""
+    try:
+        metric = canonical_metric(header)
+        value = parse_numeric(cell)
+    except (NotNumeric, EmptyAfterNormalization):
+        return None
+    period = normalize_period(row_key)
+    return {
+        "subject": metric,
+        "relation": relation_for_period(period),
+        "object": value.render(),
+        "financial_metric_entity_type": metric,
+        "company": None,
+        "period": period.canonical(),
+        "value": render_decimal(value.magnitude),
+        "unit": value.unit,
+    }
 
-    Metric comes from the column header, period from the row key; cells whose
-    derived triplet cannot satisfy the schema are skipped.
-    """
+
+def extract_table_triplets(doc: FinDocument) -> list[Triplet]:
+    """Deterministic fallback: one triplet per numeric table cell, read as its
+    `cell_element` through the reply parser's per-element step. The first
+    triplet per id is kept and a violating cell skipped: nothing is rejected."""
     triplets = []
     seen: set[str] = set()
     for row in doc.table.rows:
         row_key = row[0].strip() if row else ""
-        period = normalize_period(row_key)
         for col in range(1, len(doc.table.header)):
-            cell = row[col].strip()
-            if not cell:
-                continue
-            try:
-                metric = canonical_metric(doc.table.header[col])
-                parsed = parse_numeric(cell)
-            except (NotNumeric, EmptyAfterNormalization):
-                continue
-            triplet = make_triplet(
-                metric_type=metric,
-                value=parsed.magnitude,
-                unit=parsed.unit,
-                period=period,
-                source_doc=doc.id,
-            )
-            if field_violations(triplet) or triplet.triplet_id in seen:
-                continue
-            seen.add(triplet.triplet_id)
-            triplets.append(triplet)
+            # A cell that states no fact gives None, which the step rejects.
+            triplet = _element_triplet(
+                cell_element(row_key, doc.table.header[col], row[col].strip()), doc.id)
+            if isinstance(triplet, Triplet) and triplet.triplet_id not in seen:
+                seen.add(triplet.triplet_id)
+                triplets.append(triplet)
     return triplets
 
 

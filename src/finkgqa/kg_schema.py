@@ -364,14 +364,6 @@ def field_violations(t: Triplet) -> list[str]:
     return violations
 
 
-def validate_triplet(t: Triplet) -> list[str]:
-    """Return the names of every violated invariant (empty list means valid)."""
-    violations = field_violations(t)
-    if t.triplet_id != triplet_id_for(t.source_doc, t.subject, t.relation, t.object):
-        violations.append("TripletIdMismatch")
-    return violations
-
-
 def triplet_from_dict(d: dict) -> Triplet:
     return Triplet(d["subject"], d["relation"], d["object"], d["metric_type"],
                    d.get("company") or None, period_from_string(d["period"]),

@@ -244,12 +244,13 @@ def chat_response(text: str, finish_reason: str = "stop") -> dict:
 class MockChatTransport:
     """Deterministic stand-in for a chat server, keyed off prompt markers.
 
-    Extraction prompts are answered by re-reading the linearized table
-    sentences out of the document section. A reasoning prompt is answered by
-    looking its `Question:` line up in a question -> gold-answer key (optionally
-    scrambled to force mismatches); a question not in the key, or one that
-    spans lines, gets "unknown". Judge prompts get a fixed verdict. Counts
-    calls so tests can assert that the cache kept the network cold.
+    Extraction prompts are answered by reading each linearized table sentence
+    out of the document section through `extraction.cell_element`. A reasoning
+    prompt is answered by looking its `Question:` line up in a question ->
+    gold-answer key (optionally scrambled to force mismatches); a question not
+    in the key, or one that spans lines, gets "unknown". Judge prompts get a
+    fixed verdict. Counts calls so tests can assert that the cache kept the
+    network cold.
     """
 
     def __init__(self, answer_key: dict[str, str] | None = None, scramble: bool = False):
@@ -276,29 +277,11 @@ class MockChatTransport:
     )
 
     def _extract(self, prompt: str) -> str:
-        from . import kg_schema
+        from .extraction import cell_element
 
         doc_text = prompt.rsplit("DOCUMENT:", 1)[-1]
-        facts = []
-        for m in self._FACT_RE.finditer(doc_text):
-            row_key, header, cell = m.group(1), m.group(2), m.group(3)
-            try:
-                metric = kg_schema.canonical_metric(header)
-                value = kg_schema.parse_numeric(cell)
-            except (kg_schema.NotNumeric, kg_schema.EmptyAfterNormalization):
-                continue
-            period = kg_schema.normalize_period(row_key)
-            facts.append({
-                "subject": metric,
-                "relation": kg_schema.relation_for_period(period),
-                "object": kg_schema.NormalizedValue(value.magnitude, value.unit).render(),
-                "financial_metric_entity_type": metric,
-                "company": None,
-                "period": period.canonical(),
-                "value": kg_schema.render_decimal(value.magnitude),
-                "unit": value.unit,
-            })
-        return json.dumps(facts)
+        matches = self._FACT_RE.finditer(doc_text)
+        return json.dumps([f for m in matches if (f := cell_element(*m.groups())) is not None])
 
     def _answer(self, prompt: str) -> str:
         m = re.search(r"^Question: (.+)$", prompt, flags=re.MULTILINE)

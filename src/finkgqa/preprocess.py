@@ -212,6 +212,8 @@ def load_split(path: str | Path) -> list[FinDocument]:
 
 
 _ACRONYM_RE = re.compile(r"[A-Z][A-Z0-9]+$")
+# A four-digit year token from 1900 to 2100, in a table cell or a question.
+YEAR_RE = re.compile(r"\b(19\d{2}|20\d{2}|2100)\b")
 
 
 @functools.lru_cache(maxsize=4096)
@@ -244,7 +246,7 @@ def context_years(table: Table) -> list[int]:
     years = set()
     for row in (table.header,) + table.rows:
         for cell in row:
-            for m in re.finditer(r"\b(19\d{2}|20\d{2}|2100)\b", cell):
+            for m in YEAR_RE.finditer(cell):
                 years.add(int(m.group(0)))
     return sorted(years)
 

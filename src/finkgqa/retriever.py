@@ -23,7 +23,7 @@ import numpy as np
 from .embedding import DimensionMismatch
 from .kg_schema import Triplet
 from .llm_client import write_atomic
-from .preprocess import FinDocument, QuestionRecord
+from .preprocess import YEAR_RE, FinDocument, QuestionRecord
 
 TEMPORAL_CAP = 10.0
 SCORE_EPS = 1e-12
@@ -47,13 +47,12 @@ def feature_dim(embedding_dim: int) -> int:
     return 2 * embedding_dim + N_STRUCTURAL
 
 
-_YEAR_RE = re.compile(r"\b(19\d{2}|20\d{2}|2100)\b")
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
 
 def question_year(text: str) -> int | None:
     """First four-digit year token in the question, if any."""
-    m = _YEAR_RE.search(text)
+    m = YEAR_RE.search(text)
     return int(m.group(0)) if m else None
 
 
@@ -366,7 +365,7 @@ def _sentence_index(sentence: str) -> tuple[frozenset[Decimal], frozenset[int]]:
     """A gold sentence's number tokens (digit grouping dropped) as Decimals, and its years."""
     numbers = _NUMBER_TOKEN_RE.findall(sentence)
     return (frozenset(Decimal(tok.replace(",", "")) for tok in numbers),
-            frozenset(int(y) for y in _YEAR_RE.findall(sentence)))
+            frozenset(int(y) for y in YEAR_RE.findall(sentence)))
 
 
 def label_triplets(doc: FinDocument, triplets: list[Triplet]) -> list[int]:

@@ -28,7 +28,6 @@ from finkgqa.kg_schema import (
     normalize_period,
     parse_triplets_file,
     serialize_triplets,
-    validate_triplet,
 )
 from finkgqa.retriever import (
     TrainConfig,
@@ -38,6 +37,7 @@ from finkgqa.retriever import (
     loss_and_gradients,
     train,
 )
+from triplet_reference import validate_triplet
 
 
 class _Budget:

@@ -9,6 +9,7 @@ from finkgqa.extraction import (
     NoJsonFound,
     PromptAssetError,
     build_extraction_prompt,
+    cell_element,
     chunk_sentences,
     extract_table_triplets,
     load_prompt_asset,
@@ -21,10 +22,10 @@ from finkgqa.kg_schema import (
     make_triplet,
     normalize_period,
     parse_numeric,
-    validate_triplet,
 )
 from finkgqa.llm_client import ChatClient, MockChatTransport, ProviderConfig
 from finkgqa.preprocess import FinDocument, Table
+from triplet_reference import validate_triplet
 
 ENTERGY_ELEMENT = {
     "subject": "NET_REVENUE:Entergy",
@@ -116,6 +117,17 @@ def test_non_numeric_value_rejected():
     assert result.rejected[0][1] == ("ValueNotNumeric",)
 
 
+@pytest.mark.parametrize("bad", [
+    {"financial_metric_entity_type": "NET_REVENUE", "period": "2015", "value": [1, 2]},
+    dict(ENTERGY_ELEMENT, company={"n": "x"}),
+    dict(ENTERGY_ELEMENT, subject=["NET_REVENUE"]),
+    dict(ENTERGY_ELEMENT, unit=["USD"])])
+def test_list_or_object_field_rejected(bad):
+    result = parse_extraction_response(json.dumps([bad, ENTERGY_ELEMENT]), "d")
+    assert result.rejected == ((json.dumps(bad), ("Unmappable:TypeError",)),)
+    assert [t.subject for t in result.triplets] == ["NET_REVENUE:Entergy"]
+
+
 @pytest.mark.parametrize("value", ["1e999999999999999999", "1e100000", "1e-100000",
                                    "NaN", "Infinity", "-Infinity", "sNaN"])
 def test_value_out_of_decimal_range_rejected(value):
@@ -163,12 +175,15 @@ def test_tolerates_prose_and_multiple_arrays():
 
 json_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
                          st.floats(allow_nan=False), st.text(max_size=10))
+# A field a model should not send: a list or an object, which the parser rejects.
+json_containers = st.one_of(st.lists(json_scalars, max_size=2),
+                            st.dictionaries(st.text(max_size=3), json_scalars, max_size=2))
 json_elements = st.one_of(
     json_scalars,
     st.dictionaries(st.sampled_from(["subject", "relation", "object", "period",
                                      "value", "unit", "company",
                                      "financial_metric_entity_type", "junk"]),
-                    json_scalars, max_size=6),
+                    st.one_of(json_scalars, json_containers), max_size=6),
 )
 
 
@@ -185,6 +200,8 @@ def test_parser_never_emits_invalid_triplets(elements, prefix):
 
 def _reference_triplet(elem: dict, doc_id: str):
     """The element-to-triplet mapping as it read each field where it used it."""
+    if any(isinstance(v, (list, dict)) for v in elem.values()):
+        raise TypeError("a field holds a list or an object")
     subject = str(elem.get("subject") or "").strip()
     metric_raw = (elem.get("financial_metric_entity_type")
                   or elem.get("metric_type")
@@ -336,6 +353,66 @@ def test_year_like_headers_are_skipped():
     table = Table(header=("Item", "2019", "2018"),
                   rows=(("net sales", "100", "90"),))
     assert extract_table_triplets(_doc(table)) == []
+
+
+def test_cell_element_is_the_mock_reply_element():
+    element = cell_element("2015", "Net revenue", "$5,829 million")
+    assert element == {
+        "subject": "NET_REVENUE", "relation": "HAS_VALUE_IN_2015",
+        "object": "5829 million USD", "financial_metric_entity_type": "NET_REVENUE",
+        "company": None, "period": "2015", "value": "5829", "unit": "million USD"}
+    reply = MockChatTransport()._extract(
+        build_extraction_prompt("For 2015, net revenue is $5,829 million."))
+    assert reply == json.dumps([element])
+    assert cell_element("2015", "!!!", "5") is None
+    assert cell_element("2015", "Revenue", "n/a") is None
+
+
+def _mock_extract(doc: FinDocument):
+    client = ChatClient(ProviderConfig(model="m", endpoint="http://mock.invalid"),
+                        transport=MockChatTransport())
+    return DocumentExtractor(client).extract(doc)
+
+
+# Tables in the shapes the mock reads out of the linearized sentences.
+header_cells = st.lists(
+    st.from_regex(r"[A-Za-z]{1,8}", fullmatch=True).filter(lambda w: w.lower() != "is"),
+    min_size=1, max_size=3).map(" ".join)
+row_keys = st.one_of(st.integers(1990, 2030).map(str), st.just("thereafter"))
+magnitudes = st.integers(0, 10**9)
+table_cells = st.one_of(
+    st.just(""),
+    magnitudes.map(lambda n: f"${n:,}"),
+    magnitudes.map(lambda n: f"({n})"),
+    st.tuples(magnitudes, st.integers(0, 99)).map(lambda p: f"{p[0]}.{p[1]}%"),
+    magnitudes.map(str),
+)
+
+
+@st.composite
+def mock_shaped_tables(draw):
+    header = ("Year",) + tuple(draw(st.lists(header_cells, min_size=1, max_size=3)))
+    rows = draw(st.lists(
+        st.tuples(row_keys, *[table_cells] * (len(header) - 1)), min_size=1, max_size=4))
+    return Table(header=header, rows=tuple(rows))
+
+
+@given(mock_shaped_tables())
+@example(Table(header=("Year", "Revenue", "Margin"),
+               rows=(("2020", "$1,234", "12.5%"), ("thereafter", "(123)", "7"),
+                     ("2020", "$1,234", ""))))
+def test_table_backend_agrees_with_the_mock_extractor(table):
+    doc = FinDocument(id="agree-doc", table=table)
+    assert extract_table_triplets(doc) == list(_mock_extract(doc).triplets)
+
+
+def test_figure_beyond_range_gives_no_triplet_from_either_backend():
+    table = Table(header=("Year", "Revenue"),
+                  rows=(("2020", "1" * 32), ("2021", "2" * 31)))
+    doc = FinDocument(id="huge-doc", table=table)
+    kept = extract_table_triplets(doc)
+    assert [t.value for t in kept] == [Decimal("2" * 31)]
+    assert list(_mock_extract(doc).triplets) == kept
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from finkgqa.kg_schema import (
     serialize_triplets,
     triplet_from_dict,
     triplet_id_for,
-    validate_triplet,
 )
+from triplet_reference import validate_triplet
 
 # ---------------------------------------------------------------------------
 # Period normalization
