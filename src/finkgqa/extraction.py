@@ -24,7 +24,6 @@ from .kg_schema import (
     make_triplet,
     normalize_period,
     parse_numeric,
-    relation_for_period,
     render_decimal,
 )
 from .llm_client import ChatClient, LlmTruncated, LlmUnavailable
@@ -187,7 +186,7 @@ def cell_element(row_key: str, header: str, cell: str) -> dict | None:
     period = normalize_period(row_key)
     return {
         "subject": metric,
-        "relation": relation_for_period(period),
+        "relation": period.relation(),
         "object": value.render(),
         "financial_metric_entity_type": metric,
         "company": None,

@@ -35,7 +35,6 @@ class TripletParseError(ValueError):
 
 
 METRIC_RE = re.compile(r"[A-Z][A-Z0-9_]*")
-RELATION_RE = re.compile(r"HAS_VALUE_(IN|AS_OF|AFTER|BEFORE)_.+")
 
 MIN_YEAR = 1900
 MAX_YEAR = 2100
@@ -49,6 +48,26 @@ class PeriodKind(str, Enum):
     UNKNOWN = "UNKNOWN"
 
 
+# The period grammar: each kind's canonical string and relation name, where
+# `{y}` is the year and `{q}` the quarter. A Period fills exactly the fields
+# its templates name; period_from_string and RELATION_RE are built from the
+# same rows.
+_PERIOD_TEMPLATES: dict[PeriodKind, tuple[str, str]] = {
+    PeriodKind.ANNUAL: ("{y}", "HAS_VALUE_IN_{y}"),
+    PeriodKind.QUARTER: ("{y}-Q{q}", "HAS_VALUE_IN_{y}_Q{q}"),
+    PeriodKind.AS_OF: ("AS_OF_{y}", "HAS_VALUE_AS_OF_{y}"),
+    PeriodKind.AFTER: ("AFTER_{y}", "HAS_VALUE_AFTER_{y}"),
+    PeriodKind.BEFORE: ("BEFORE_{y}", "HAS_VALUE_BEFORE_{y}"),
+    PeriodKind.UNKNOWN: ("UNKNOWN", "HAS_VALUE"),
+}
+
+# A relation name with a period: a template's text before its year, then
+# anything. The unknown period's HAS_VALUE is checked on its own.
+RELATION_RE = re.compile("(?:%s).+" % "|".join(dict.fromkeys(
+    re.escape(relation.partition("{y}")[0])
+    for _, relation in _PERIOD_TEMPLATES.values() if "{y}" in relation)))
+
+
 @dataclass(frozen=True)
 class Period:
     """Normalized temporal qualifier of a fact."""
@@ -58,130 +77,101 @@ class Period:
     quarter: int | None = None
 
     def __post_init__(self):
-        if self.kind is not PeriodKind.UNKNOWN and self.year is None:
-            raise ValueError(f"{self.kind.value} period requires a year")
-        if self.year is not None and not MIN_YEAR <= self.year <= MAX_YEAR:
-            raise ValueError(f"year {self.year} outside {MIN_YEAR}-{MAX_YEAR}")
-        if self.kind is PeriodKind.QUARTER and self.quarter is None:
-            raise ValueError("QUARTER period requires a quarter")
-        if self.quarter is not None and not 1 <= self.quarter <= 4:
-            raise ValueError(f"quarter {self.quarter} outside 1-4")
+        canonical, relation = _PERIOD_TEMPLATES[self.kind]
+        kind, year, quarter = self.kind.value, self.year, self.quarter
+        if (year is None) is ("{y}" in canonical):
+            raise ValueError(f"{kind} period needs a year" if year is None
+                             else f"{kind} period takes no year, got {year}")
+        if year is not None and not MIN_YEAR <= year <= MAX_YEAR:
+            raise ValueError(f"year {year} outside {MIN_YEAR}-{MAX_YEAR}")
+        if (quarter is None) is ("{q}" in canonical):
+            raise ValueError(f"{kind} period needs a quarter" if quarter is None
+                             else f"{kind} period takes no quarter, got {quarter}")
+        if quarter is not None and not 1 <= quarter <= 4:
+            raise ValueError(f"quarter {quarter} outside 1-4")
         # Rendered once: a store shares a few memoised Periods among all its facts.
-        if self.kind is PeriodKind.UNKNOWN:
-            text = "UNKNOWN"
-        elif self.kind is PeriodKind.ANNUAL:
-            text = f"{self.year}"
-        elif self.kind is PeriodKind.QUARTER:
-            text = f"{self.year}-Q{self.quarter}"
-        else:
-            text = f"{self.kind.value}_{self.year}"
-        object.__setattr__(self, "_canonical", text)
+        object.__setattr__(self, "_canonical", canonical.format(y=year, q=quarter))
+        object.__setattr__(self, "_relation", relation.format(y=year, q=quarter))
 
     def canonical(self) -> str:
         return self._canonical
 
+    def relation(self) -> str:
+        """The relation name of a fact in this period."""
+        return self._relation
+
 
 UNKNOWN_PERIOD = Period()
 
-_CANONICAL_PERIOD_RES: list[tuple[re.Pattern, PeriodKind]] = [
-    (re.compile(r"(\d{4})-Q([1-4])$"), PeriodKind.QUARTER),
-    (re.compile(r"AS_OF_(\d{4})$"), PeriodKind.AS_OF),
-    (re.compile(r"AFTER_(\d{4})$"), PeriodKind.AFTER),
-    (re.compile(r"BEFORE_(\d{4})$"), PeriodKind.BEFORE),
-    (re.compile(r"(\d{4})$"), PeriodKind.ANNUAL),
-]
+
+def _template_re(template: str) -> re.Pattern:
+    """A pattern of the strings a template renders: a year has four digits, a quarter is 1-4."""
+    pattern = re.escape(template).replace(re.escape("{y}"), r"(?P<year>\d{4})")
+    return re.compile(pattern.replace(re.escape("{q}"), r"(?P<quarter>[1-4])"))
+
+
+_CANONICAL_RES = {kind: _template_re(canonical)
+                  for kind, (canonical, _) in _PERIOD_TEMPLATES.items()}
 
 
 @functools.lru_cache(maxsize=4096)
 def period_from_string(canonical: str) -> Period:
-    """Strict inverse of Period.canonical(); raises ValueError on anything else.
+    """Strict inverse of Period.canonical(); raises ValueError on anything else,
+    a year outside MIN_YEAR-MAX_YEAR included.
 
     Memoised: a store repeats a handful of period strings per document, and
     the frozen Period can be shared.
     """
     s = canonical.strip()
-    if s == "UNKNOWN":
-        return UNKNOWN_PERIOD
-    for pattern, kind in _CANONICAL_PERIOD_RES:
+    for kind, pattern in _CANONICAL_RES.items():
         m = pattern.fullmatch(s)
         if m:
-            quarter = int(m.group(2)) if kind is PeriodKind.QUARTER else None
-            return Period(kind, int(m.group(1)), quarter)
+            return Period(kind, **{name: int(v) for name, v in m.groupdict().items()})
     raise ValueError(f"not a canonical period string: {canonical!r}")
 
 
-def _safe_year(text: str) -> int | None:
-    year = int(text)
-    return year if MIN_YEAR <= year <= MAX_YEAR else None
+# Free-text periods, each pattern matched against the whole lowercased text
+# with its whitespace runs collapsed. The first rule that matches decides. A
+# rule without a year group takes the latest context year.
+_FREE_TEXT_PERIODS: list[tuple[re.Pattern, PeriodKind]] = [
+    (re.compile(r"(?:fiscal(?: year)?|fy) ?(?P<year>\d{4})"), PeriodKind.ANNUAL),
+    (re.compile(r"q(?P<quarter>[1-4]) (?P<year>\d{4})"), PeriodKind.QUARTER),
+    (re.compile(r"(?P<year>\d{4})[ -]q(?P<quarter>[1-4])"), PeriodKind.QUARTER),
+    (re.compile(r"as of(?:.*?(?P<year>\d{4}))?.*"), PeriodKind.AS_OF),
+    (re.compile(r".*thereafter.*"), PeriodKind.AFTER),
+    (re.compile(r"after (?P<year>\d{4})"), PeriodKind.AFTER),
+    (re.compile(r"(?:prior to|before) (?P<year>\d{4})"), PeriodKind.BEFORE),
+]
 
 
 def normalize_period(raw: str, context_years: list[int] | None = None) -> Period:
     """Map a free-text temporal expression to a canonical Period.
 
-    Rule table: "YYYY" / "fiscal YYYY" / "FY YYYY" are annual; "YYYY-Qn" /
-    "Qn YYYY" quarterly; "as of ... YYYY" point-in-time; "thereafter" /
-    "after YYYY" open-ended forward ("thereafter" resolves against the latest
-    context year); "prior to YYYY" / "before YYYY" backward. Anything else is
-    UNKNOWN; canonical strings are fixed points.
+    A canonical string is read as itself, other text by the first rule of
+    _FREE_TEXT_PERIODS that matches it; "thereafter" resolves against the
+    latest context year. A rule that finds no year, or one Period refuses,
+    gives UNKNOWN, as does text that no rule matches.
     """
     s = (raw or "").strip()
     if not s:
         return UNKNOWN_PERIOD
-
     try:
         return period_from_string(s)
     except ValueError:
         pass
-
-    low = re.sub(r"\s+", " ", s.lower())
-
-    m = re.fullmatch(r"(?:fiscal(?: year)?|fy) ?(\d{4})", low)
-    if m:
-        year = _safe_year(m.group(1))
-        return Period(PeriodKind.ANNUAL, year) if year else UNKNOWN_PERIOD
-
-    m = re.fullmatch(r"q([1-4]) (\d{4})", low)
-    if m:
-        year = _safe_year(m.group(2))
-        return Period(PeriodKind.QUARTER, year, int(m.group(1))) if year else UNKNOWN_PERIOD
-    m = re.fullmatch(r"(\d{4})[ -]q([1-4])", low)
-    if m:
-        year = _safe_year(m.group(1))
-        return Period(PeriodKind.QUARTER, year, int(m.group(2))) if year else UNKNOWN_PERIOD
-
-    if low.startswith("as of"):
-        m = re.search(r"(\d{4})", low)
+    low = " ".join(s.lower().split())
+    for pattern, kind in _FREE_TEXT_PERIODS:
+        m = pattern.fullmatch(low)
         if m:
-            year = _safe_year(m.group(1))
-            return Period(PeriodKind.AS_OF, year) if year else UNKNOWN_PERIOD
-        return UNKNOWN_PERIOD
-
-    if "thereafter" in low:
-        years = [y for y in (context_years or []) if MIN_YEAR <= y <= MAX_YEAR]
-        return Period(PeriodKind.AFTER, max(years)) if years else UNKNOWN_PERIOD
-
-    m = re.fullmatch(r"after (\d{4})", low)
-    if m:
-        year = _safe_year(m.group(1))
-        return Period(PeriodKind.AFTER, year) if year else UNKNOWN_PERIOD
-
-    m = re.fullmatch(r"(?:prior to|before) (\d{4})", low)
-    if m:
-        year = _safe_year(m.group(1))
-        return Period(PeriodKind.BEFORE, year) if year else UNKNOWN_PERIOD
-
+            found = m.groupdict()
+            year = found["year"] if "year" in found else max(
+                (y for y in context_years or () if MIN_YEAR <= y <= MAX_YEAR), default=None)
+            quarter = found.get("quarter")
+            try:
+                return Period(kind, year and int(year), quarter and int(quarter))
+            except ValueError:
+                return UNKNOWN_PERIOD
     return UNKNOWN_PERIOD
-
-
-def relation_for_period(period: Period) -> str:
-    """Canonical relation name for a period (HAS_VALUE when period is unknown)."""
-    if period.kind is PeriodKind.UNKNOWN:
-        return "HAS_VALUE"
-    if period.kind is PeriodKind.ANNUAL:
-        return f"HAS_VALUE_IN_{period.year}"
-    if period.kind is PeriodKind.QUARTER:
-        return f"HAS_VALUE_IN_{period.year}_Q{period.quarter}"
-    return f"HAS_VALUE_{period.kind.value}_{period.year}"
 
 
 @dataclass(frozen=True)
@@ -326,7 +316,7 @@ def make_triplet(
     if subject is None:
         subject = f"{metric_type}:{company}" if company else metric_type
     if relation is None:
-        relation = relation_for_period(period)
+        relation = period.relation()
     if obj is None:
         obj = NormalizedValue(value, unit).render()
     # Positional: a NamedTuple takes keywords at about twice the cost, once per fact.
@@ -342,8 +332,8 @@ def _is_metric(name: str) -> bool:
 
 @functools.lru_cache(maxsize=4096)
 def _is_relation(name: str) -> bool:
-    """RELATION_RE's verdict (or HAS_VALUE), memoised like _is_metric."""
-    return name == "HAS_VALUE" or RELATION_RE.fullmatch(name) is not None
+    """RELATION_RE's verdict (or the unknown period's HAS_VALUE), memoised like _is_metric."""
+    return name == UNKNOWN_PERIOD.relation() or RELATION_RE.fullmatch(name) is not None
 
 
 def field_violations(t: Triplet) -> list[str]:

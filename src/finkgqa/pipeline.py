@@ -148,34 +148,24 @@ def apply_overrides(cfg: PipelineConfig, overrides: dict) -> None:
 # ---------------------------------------------------------------------------
 # Providers
 
-def _mock_answer_key(path: str) -> dict[str, str]:
+def _answer_key(path: str) -> tuple[str, dict[str, str]]:
+    """The sha256 and the question -> gold answer key of the mock's raw corpus
+    file; ("", {}) when no file is named. One stat finds the file's version."""
     if not path:
-        return {}
+        return "", {}
     st = os.stat(path)
     return _read_answer_key(path, st.st_mtime_ns, st.st_size)
 
 
-def _answer_key_sha256(path: str) -> str:
-    if not path:
-        return ""
-    st = os.stat(path)
-    return _file_sha256(path, st.st_mtime_ns, st.st_size)
-
-
 @functools.lru_cache(maxsize=4)
-def _file_sha256(path: str, mtime_ns: int, size: int) -> str:
-    """The file's sha256, read once per version as `_read_answer_key` reads it."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-@functools.lru_cache(maxsize=4)
-def _read_answer_key(path: str, mtime_ns: int, size: int) -> dict[str, str]:
-    """The question -> gold answer key of a raw corpus file, as `ingest` parses
-    it, read once per version. The stat fields are part of the memo key, so a
-    rewritten file is read again. Every caller gets the same dict, which
-    `MockChatTransport` copies. `load_split` logs no skipped record and no
-    repaired table row: `ingest` has reported each once."""
-    return {doc.question.text: doc.question.gold_answer for doc in load_split(path)}
+def _read_answer_key(path: str, mtime_ns: int, size: int) -> tuple[str, dict[str, str]]:
+    """`_answer_key`, read once per version: the stat fields are part of the
+    memo key, so a rewritten file is read again. The key is parsed as `ingest`
+    parses the file. Every caller gets the same dict, which `MockChatTransport`
+    copies. `load_split` logs no skipped record and no repaired table row:
+    `ingest` has reported each once."""
+    return (hashlib.sha256(Path(path).read_bytes()).hexdigest(),
+            {doc.question.text: doc.question.gold_answer for doc in load_split(path)})
 
 
 def build_chat_client(provider: ProviderConfig, cache_dir: str | None,
@@ -186,10 +176,10 @@ def build_chat_client(provider: ProviderConfig, cache_dir: str | None,
     if provider.kind == "mock":
         # An empty model is sent as "mock-chat", which every cached request keys on.
         cfg = replace(provider, model=provider.model or "mock-chat")
-        transport = MockChatTransport(answer_key=_mock_answer_key(provider.answer_key),
-                                      scramble=provider.scramble)
+        key_sha256, answer_key = _answer_key(provider.answer_key)
+        transport = MockChatTransport(answer_key=answer_key, scramble=provider.scramble)
         identity = {**provider_identity(cfg), "scramble": provider.scramble,
-                    "answer_key": _answer_key_sha256(provider.answer_key)}
+                    "answer_key": key_sha256}
         return ChatClient(cfg, cache=cache, transport=transport, identity=identity)
     if provider.kind == "http":
         if not provider.model:
@@ -399,7 +389,8 @@ def cmd_train_retriever(cfg: PipelineConfig) -> dict:
     the old one only once the new model is saved.
     """
     store = _require(triplets_path(cfg, "train"), "extract")
-    docs = {doc.id: doc
+    # Labelling and featurising read only a document's question; keep nothing else.
+    docs = {doc.id: FinDocument(doc.id, question=doc.question)
             for doc in _iter_documents(_require(documents_path(cfg, "train"), "ingest"))}
     embedder = build_embedder(cfg.embeddings, cfg.cache_dir)
     X = retriever.GroupedFeatures()

@@ -22,12 +22,12 @@ from finkgqa.kg_schema import (
     parse_numeric,
     parse_triplets_file,
     period_from_string,
-    relation_for_period,
     render_decimal,
     serialize_triplets,
     triplet_from_dict,
     triplet_id_for,
 )
+import period_reference as reference
 from triplet_reference import validate_triplet
 
 # ---------------------------------------------------------------------------
@@ -104,6 +104,74 @@ def test_period_invariants_enforced():
         Period(PeriodKind.ANNUAL, 1066)
     with pytest.raises(ValueError):
         Period(PeriodKind.QUARTER, 2020, 5)
+    # A field the canonical string would drop: it would not survive the store.
+    for kind, year, quarter in [(PeriodKind.ANNUAL, 2019, 2), (PeriodKind.AS_OF, 2019, 4),
+                                (PeriodKind.UNKNOWN, 2019, None)]:
+        with pytest.raises(ValueError):
+            Period(kind, year, quarter)
+
+
+@given(st.sampled_from(PeriodKind),
+       st.one_of(st.none(), st.integers(1895, 2105), st.integers()),
+       st.one_of(st.none(), st.integers(-1, 6)))
+def test_every_period_round_trips_or_is_refused(kind, year, quarter):
+    try:
+        period = Period(kind, year, quarter)
+    except ValueError:
+        return
+    assert period_from_string(period.canonical()) == period
+    assert field_violations(entergy_triplet()._replace(relation=period.relation())) == []
+
+
+# The free-text shapes the hand-written grammar read, with the years at and
+# just past either end of the range, and the canonical strings in both cases.
+_CANONICAL_STRINGS = ["2019", "2019-Q3", "AS_OF_2019", "AFTER_2100", "BEFORE_1900",
+                      "AFTER_2101", "BEFORE_1899", "UNKNOWN"]
+PERIOD_FRAGMENTS = [
+    "fiscal", "fy", "fiscal year", "q1", "Q4", "q5", "as of", "thereafter", "after",
+    "prior to", "before", "1899", "2019", "2100", "2101", "12345", "\u0662\u0660\u0661\u0669",
+    *_CANONICAL_STRINGS, *map(str.lower, _CANONICAL_STRINGS), "-", " ", "  ", "\t", "\n",
+]
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+@given(st.lists(st.sampled_from(PERIOD_FRAGMENTS), max_size=6).map("".join),
+       st.one_of(st.none(), st.lists(st.integers(1895, 2105), max_size=3)))
+@example("as of 12345 2019", None)
+@example("Q4 2101", None)
+@example("fy2019 thereafter", [2014])
+@example("\u0662\u0660\u0661\u0669-Q1", None)
+@example(" as of\tthereafter 2019", [1899, 2015])
+@example("as of thereafter", [2015])
+def test_period_grammar_matches_the_reference(text, context_years):
+    got = normalize_period(text, context_years)
+    want = reference.normalize_period(text, context_years)
+    assert got == want
+    assert got.canonical() == want.canonical()
+    assert got.relation() == reference.relation_for_period(want)
+    assert _parsed(period_from_string, text) == _parsed(reference.period_from_string, text)
+
+
+_RELATION_PREFIXES = ["", "HAS_VALUE", "HAS_VALUE_", "HAS_VALUE_IN", "HAS_VALUE_IN_",
+                      "HAS_VALUE_AS_OF_", "HAS_VALUE_AS_", "HAS_VALUE_AFTER_",
+                      "HAS_VALUE_BEFORE_", "has_value_in_"]
+
+
+@given(st.one_of(st.text(max_size=20),
+                 st.builds(str.__add__, st.sampled_from(_RELATION_PREFIXES),
+                           st.text(max_size=6))))
+@example("HAS_VALUE_IN_\n")
+@example("HAS_VALUE_IN_2019\n")
+@example("HAS_VALUE_AS_OF_")
+def test_relation_pattern_matches_the_reference(relation):
+    assert ((RELATION_RE.fullmatch(relation) is None)
+            == (reference.RELATION_RE.fullmatch(relation) is None))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +423,7 @@ def test_serialize_parse_identity(ts):
 @given(triplets)
 def test_generated_triplets_are_valid(t):
     assert validate_triplet(t) == []
-    assert relation_for_period(t.period) == t.relation
+    assert t.period.relation() == t.relation
     assert t.object.startswith(render_decimal(t.value))
 
 

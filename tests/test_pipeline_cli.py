@@ -453,7 +453,7 @@ def _http_embeddings_config(tmp_path: Path, corpus: Path) -> pl.PipelineConfig:
 
 def _chat_server(corpus: Path):
     """An http transport that answers chat requests as the in-process mock does."""
-    mock = pl.MockChatTransport(answer_key=pl._mock_answer_key(str(corpus)))
+    mock = pl.MockChatTransport(answer_key=pl._answer_key(str(corpus))[1])
 
     def transport(url, payload, headers, timeout):
         assert url.endswith("/chat/completions")
