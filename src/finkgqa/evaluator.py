@@ -4,15 +4,14 @@ judge for phrase-level paraphrases, a gold-program executor, and run reports.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from decimal import Decimal
 
 from .kg_schema import NotNumeric, parse_numeric
-from .llm_client import ChatClient, LlmUnavailable
+from .llm_client import ChatClient, LlmTruncated, LlmUnavailable
 from .preprocess import Table
-from .reasoner import Answer
+from .reasoner import parse_answer
 
 SCALE_FACTORS = {"thousand": Decimal(10) ** 3, "million": Decimal(10) ** 6,
                  "billion": Decimal(10) ** 9}
@@ -99,27 +98,21 @@ def _fold_key(text: str) -> str:
 
 
 def _row_values(table: Table, label: str) -> list[float]:
+    """The row's numeric cells, read as `extraction.cell_element` reads them; a
+    percent cell is divided by 100, as a percent literal is."""
     target = _fold_key(label)
     for row in table.rows:
         if row and _fold_key(row[0]) == target:
             values = []
             for cell in row[1:]:
-                if not cell.strip():
-                    continue
-                lit = _literal(_strip_cell(cell))
-                if lit is not None:
-                    values.append(lit)
+                value = _try_parse(cell)
+                if value is not None:
+                    number = float(value.magnitude)
+                    values.append(number / 100.0 if value.unit == "percent" else number)
             if not values:
                 raise BadReference(f"row {label!r} has no numeric cells")
             return values
     raise RowNotFound(f"no table row with key {label!r}")
-
-
-def _strip_cell(cell: str) -> str:
-    s = cell.strip()
-    if s.startswith("(") and s.endswith(")"):
-        s = "-" + s[1:-1]
-    return s
 
 
 def execute_program(steps: list[ProgramStep], table: Table | None = None) -> float:
@@ -283,64 +276,51 @@ def judge_with_llm(pred: str, gold: str, client: ChatClient) -> bool:
 # ---------------------------------------------------------------------------
 # Split evaluation and reporting
 
-@dataclass
-class EvalRecord:
-    doc_id: str
-    predicted: Answer
-    gold: str
-    gold_exe: Decimal | None = None
-    verdict: str = "INCORRECT"  # CORRECT | INCORRECT | JUDGE_ERROR | MISSING | ERROR
-    judge_used: str = "RULES"  # RULES | LLM | NONE
+def judge(answer: str, gold: str, gold_exe: Decimal | None = None,
+          judge_client: ChatClient | None = None) -> tuple[str, str]:
+    """The verdict on one answer and the judge that gave it ("RULES" or "LLM").
 
-    def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "predicted": self.predicted.raw_text,
-            "gold": self.gold,
-            "verdict": self.verdict,
-            "judge_used": self.judge_used,
-        }
-
-
-def _rules_inconclusive(pred: str, gold: str) -> bool:
-    return _try_parse(pred) is None and _try_parse(gold) is None \
-        and pred.strip().lower() != gold.strip().lower()
-
-
-def judge_record(record: EvalRecord, judge_client: ChatClient | None = None) -> EvalRecord:
-    """Fill in the verdict, preferring the deterministic rules judge."""
-    if record.verdict in ("MISSING", "ERROR"):  # no prediction: nothing to judge
-        return record
-    pred = record.predicted.raw_text
-    correct = numbers_equivalent(pred, record.gold)
-    if not correct and record.gold_exe is not None:
-        correct = numbers_equivalent(pred, str(record.gold_exe))
-
-    if not correct and judge_client is not None \
-            and record.predicted.kind == "TEXT" \
-            and _rules_inconclusive(pred, record.gold):
-        record.judge_used = "LLM"
-        try:
-            correct = judge_with_llm(pred, record.gold, judge_client)
-        except (LlmUnavailable, JudgeIndecisive):
-            record.verdict = "JUDGE_ERROR"
-            return record
-    record.verdict = "CORRECT" if correct else "INCORRECT"
-    return record
+    The rules decide CORRECT against the gold answer or the gold program's
+    result. The LLM judge is asked only where the rules cannot tell a
+    paraphrase: a judge is configured, the answer is not yes/no, and neither
+    side is a number (the texts differ, or the rules would have matched them).
+    A judge that is unavailable, cut at max_tokens or indecisive gives
+    JUDGE_ERROR.
+    """
+    if numbers_equivalent(answer, gold) or (
+            gold_exe is not None and numbers_equivalent(answer, str(gold_exe))):
+        return "CORRECT", "RULES"
+    if (judge_client is None or answer.strip().lower().rstrip(".") in ("yes", "no")
+            or _try_parse(answer) is not None or _try_parse(gold) is not None):
+        return "INCORRECT", "RULES"
+    try:
+        return "CORRECT" if judge_with_llm(answer, gold, judge_client) else "INCORRECT", "LLM"
+    except (LlmUnavailable, LlmTruncated, JudgeIndecisive):
+        return "JUDGE_ERROR", "LLM"
 
 
-def evaluate_split(records: list[EvalRecord],
-                   judge_client: ChatClient | None = None) -> tuple[float, list[EvalRecord]]:
-    """Judge every record; accuracy counts JUDGE_ERROR, MISSING and ERROR as incorrect."""
+def evaluate_split(records: list[tuple[str, str | None, bool, str, Decimal | None]],
+                   judge_client: ChatClient | None = None) -> list[dict]:
+    """The verdict line of each `(doc_id, answer, failed, gold, gold_exe)` record, in order.
+
+    `answer` is the document's prediction line's answer, None when it has no
+    line, and `failed` says that line's request failed. A document without a
+    line is MISSING and a failed one ERROR, both judged by no judge ("NONE");
+    any other answer is read as the reasoner reads an ANSWER line and judged
+    by `judge`.
+    """
     if not records:
         raise EmptyInput("no records to evaluate")
-    judged = [judge_record(r, judge_client) for r in records]
-    correct = sum(1 for r in judged if r.verdict == "CORRECT")
-    return correct / len(judged), judged
-
-
-def verdicts_jsonl(records: list[EvalRecord]) -> str:
-    return "".join(json.dumps(r.to_dict()) + "\n" for r in records)
+    lines = []
+    for doc_id, answer, failed, gold, gold_exe in records:
+        predicted = parse_answer(f"ANSWER: {answer}").raw_text if (answer or "").strip() else ""
+        if answer is None or failed:
+            verdict, judge_used = "ERROR" if failed else "MISSING", "NONE"
+        else:
+            verdict, judge_used = judge(predicted, gold, gold_exe, judge_client)
+        lines.append({"doc_id": doc_id, "predicted": predicted, "gold": gold,
+                      "verdict": verdict, "judge_used": judge_used})
+    return lines
 
 
 def compare_runs(baseline_acc: float, treatment_acc: float) -> dict:

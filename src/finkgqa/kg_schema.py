@@ -115,19 +115,31 @@ _CANONICAL_RES = {kind: _template_re(canonical)
 
 
 @functools.lru_cache(maxsize=4096)
-def period_from_string(canonical: str) -> Period:
-    """Strict inverse of Period.canonical(); raises ValueError on anything else,
-    a year outside MIN_YEAR-MAX_YEAR included.
+def _canonical_period(text: str) -> Period | None:
+    """The Period whose canonical string is `text` stripped, or None.
 
-    Memoised: a store repeats a handful of period strings per document, and
-    the frozen Period can be shared.
+    Memoised, misses included: a store repeats a handful of period strings
+    per document, a table a handful of free-text row keys, and the frozen
+    Period can be shared.
     """
-    s = canonical.strip()
+    s = text.strip()
     for kind, pattern in _CANONICAL_RES.items():
         m = pattern.fullmatch(s)
         if m:
-            return Period(kind, **{name: int(v) for name, v in m.groupdict().items()})
-    raise ValueError(f"not a canonical period string: {canonical!r}")
+            try:
+                return Period(kind, **{name: int(v) for name, v in m.groupdict().items()})
+            except ValueError:  # a year outside MIN_YEAR-MAX_YEAR
+                return None
+    return None
+
+
+def period_from_string(canonical: str) -> Period:
+    """Strict inverse of Period.canonical(); raises ValueError on anything else,
+    a year outside MIN_YEAR-MAX_YEAR included."""
+    period = _canonical_period(canonical)
+    if period is None:
+        raise ValueError(f"not a canonical period string: {canonical!r}")
+    return period
 
 
 # Free-text periods, each pattern matched against the whole lowercased text
@@ -155,10 +167,9 @@ def normalize_period(raw: str, context_years: list[int] | None = None) -> Period
     s = (raw or "").strip()
     if not s:
         return UNKNOWN_PERIOD
-    try:
-        return period_from_string(s)
-    except ValueError:
-        pass
+    period = _canonical_period(s)
+    if period is not None:
+        return period
     low = " ".join(s.lower().split())
     for pattern, kind in _FREE_TEXT_PERIODS:
         m = pattern.fullmatch(low)
@@ -263,7 +274,7 @@ def parse_numeric(raw: str) -> NormalizedValue:
 def canonical_metric(raw: str) -> str:
     """Uppercase a metric name, collapsing runs of non-alphanumerics to "_".
 
-    Memoised like period_from_string: a store repeats a few column headers per
+    Memoised like _canonical_period: a store repeats a few column headers per
     document. A failing name raises again on every call.
     """
     text = re.sub(r"[^A-Za-z0-9]+", "_", raw).strip("_").upper()

@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -24,7 +25,6 @@ import numpy as np
 
 from . import evaluator, extraction, reasoner, retriever
 from .embedding import LocalHashEmbedder, RemoteEmbedder
-from .evaluator import EvalRecord
 from .extraction import DocumentExtractor
 from .kg_schema import PARSE_BLOCK, Triplet, parse_triplets_file, serialize_triplets
 from .llm_client import (ChatClient, LlmTruncated, LlmUnavailable, MockChatTransport,
@@ -500,8 +500,8 @@ def cmd_answer(cfg: PipelineConfig, split: str, mode: str) -> dict[str, int]:
 
 
 def cmd_evaluate(cfg: PipelineConfig, split: str, mode: str) -> dict:
-    """Judge the first prediction for each split document against its gold
-    answer, and write verdicts plus a summary."""
+    """Judge each split document's first prediction line against its gold
+    answer with `evaluator.evaluate_split`, and write verdicts plus a summary."""
     pred_file = _require(predictions_path(cfg, split, mode), "answer")
     store = _require(documents_path(cfg, split), "ingest")
     # Each id's first line, as (answer, whether its request failed); the rest is unused.
@@ -519,39 +519,28 @@ def cmd_evaluate(cfg: PipelineConfig, split: str, mode: str) -> dict:
                 except (ValueError, TypeError, KeyError):  # not an object with a doc_id
                     continue
 
-    records, ids = [], set()
-    for doc in _iter_documents(store):
-        ids.add(doc.id)
-        raw_answer, failed = first.get(doc.id, ("", False))
-        record = EvalRecord(
-            doc_id=doc.id,
-            predicted=(reasoner.parse_answer(f"ANSWER: {raw_answer}")
-                       if raw_answer.strip() else reasoner.Answer(raw_text="")),
-            gold=doc.question.gold_answer,
-            gold_exe=doc.question.gold_exe_answer,
-        )
-        if doc.id not in first or failed:  # no answer, or its request failed: nothing to judge
-            record.verdict, record.judge_used = "ERROR" if failed else "MISSING", "NONE"
-        records.append(record)
-    n_scored = len(ids & first.keys())
-    n_missing, n_unscored = len(records) - n_scored, n_lines - n_scored
-    if n_missing or n_unscored:
-        logger.warning("%s/%s: %d of %d prediction lines not scored (repeated, unknown id or "
-                       "malformed); %d of %d documents have none and score MISSING", split,
-                       mode, n_unscored, n_lines, n_missing, len(records))
-
+    records = [(doc.id, *first.get(doc.id, (None, False)), doc.question.gold_answer,
+                doc.question.gold_exe_answer) for doc in _iter_documents(store)]
     judge_client = None
     if cfg.judge.kind != "none":  # an unsupported kind fails in build_chat_client
         judge_client = build_chat_client(cfg.judge, cfg.cache_dir, role="judge")
-    accuracy, judged = evaluator.evaluate_split(records, judge_client=judge_client)
-    write_atomic(verdicts_path(cfg, split, mode), evaluator.verdicts_jsonl(judged))
+    verdicts = evaluator.evaluate_split(records, judge_client=judge_client)
+    write_atomic(verdicts_path(cfg, split, mode),
+                 "".join(json.dumps(line) + "\n" for line in verdicts))
+    counts = Counter(line["verdict"] for line in verdicts)
+    n_missing, n_unscored = counts["MISSING"], n_lines - len(verdicts) + counts["MISSING"]
+    if n_missing or n_unscored:
+        logger.warning("%s/%s: %d of %d prediction lines not scored (repeated, unknown id or "
+                       "malformed); %d of %d documents have none and score MISSING", split,
+                       mode, n_unscored, n_lines, n_missing, len(verdicts))
+    accuracy = counts["CORRECT"] / len(verdicts)
     summary = {
         "split": split,
         "mode": mode,
-        "n": len(judged),
+        "n": len(verdicts),
         "n_missing": n_missing,
-        "n_errors": sum(1 for r in judged if r.verdict == "ERROR"),
-        "correct": sum(1 for r in judged if r.verdict == "CORRECT"),
+        "n_errors": counts["ERROR"],
+        "correct": counts["CORRECT"],
         "accuracy": accuracy,
         "accuracy_pct": 100.0 * accuracy,
     }

@@ -241,16 +241,6 @@ def linearize_table(table: Table) -> list[str]:
     return sentences
 
 
-def context_years(table: Table) -> list[int]:
-    """Distinct years mentioned anywhere in the table, ascending."""
-    years = set()
-    for row in (table.header,) + table.rows:
-        for cell in row:
-            for m in YEAR_RE.finditer(cell):
-                years.add(int(m.group(0)))
-    return sorted(years)
-
-
 def assemble_text(doc: FinDocument) -> str:
     """Concatenate pre-text, linearized table sentences, and post-text.
 

@@ -62,6 +62,17 @@ def test_thereafter_uses_latest_context_year():
     assert normalize_period("thereafter") == UNKNOWN_PERIOD
 
 
+def test_a_repeated_free_text_period_hits_the_memo():
+    from finkgqa import kg_schema
+
+    text = "Thereafter (memo check)"
+    assert normalize_period(text, [2015]) == Period(PeriodKind.AFTER, 2015)
+    before = kg_schema._canonical_period.cache_info()
+    assert normalize_period(text, [2016]) == Period(PeriodKind.AFTER, 2016)
+    after = kg_schema._canonical_period.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+
 ALL_CANONICAL_PERIODS = [
     Period(PeriodKind.ANNUAL, 2015),
     Period(PeriodKind.QUARTER, 2007, 4),

@@ -1054,6 +1054,34 @@ def test_unknown_judge_kind_fails_instead_of_judging_by_rules(tmp_path, corpus_p
     assert not pl.eval_summary_path(cfg, "test", "vanilla").exists()
 
 
+def test_truncated_judge_reply_scores_one_judge_error(tmp_path, corpus_path, monkeypatch):
+    from finkgqa import llm_client
+
+    cfg = _config(tmp_path, corpus_path)
+    pl.cmd_ingest(cfg)
+    pl.cmd_answer(cfg, "test", "vanilla")
+    # The first document gets a phrase for gold and for answer, so the LLM judge is asked.
+    store = pl.documents_path(cfg, "test")
+    records = [json.loads(line) for line in store.read_text(encoding="utf-8").splitlines()]
+    records[0]["qa"].update(answer="up twenty percent", exe_ans=None)
+    store.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    preds = pl.predictions_path(cfg, "test", "vanilla")
+    lines = [json.loads(line) for line in preds.read_text(encoding="utf-8").splitlines()]
+    lines[0]["answer"] = "grew by a fifth"
+    preds.write_text("".join(json.dumps(e) + "\n" for e in lines), encoding="utf-8")
+    cfg.judge = pl.ProviderConfig(kind="http", endpoint="http://judge", model="j",
+                                  max_retries=0)
+    monkeypatch.setattr(llm_client, "http_transport", lambda url, payload, headers, timeout:
+                        (200, chat_response("YES", finish_reason="length")))
+
+    summary = pl.cmd_evaluate(cfg, "test", "vanilla")
+    assert (summary["n"], summary["correct"], summary["n_errors"]) == (5, 4, 0)
+    verdicts = [json.loads(line) for line in
+                pl.verdicts_path(cfg, "test", "vanilla").read_text().splitlines()]
+    assert (verdicts[0]["verdict"], verdicts[0]["judge_used"]) == ("JUDGE_ERROR", "LLM")
+    assert [v["verdict"] for v in verdicts[1:]] == ["CORRECT"] * 4
+
+
 def test_missing_predictions_count_as_incorrect(tmp_path, corpus_path):
     cfg = _config(tmp_path, corpus_path)
     pl.cmd_ingest(cfg)

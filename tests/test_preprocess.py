@@ -9,7 +9,6 @@ from finkgqa.preprocess import (
     MalformedRecord,
     Table,
     assemble_text,
-    context_years,
     document_record,
     linearize_table,
     load_split,
@@ -395,9 +394,3 @@ def test_load_split_refuses_a_file_that_is_not_an_array(tmp_path, top):
     path.write_text(json.dumps(top))
     with pytest.raises(ValueError, match="split.json"):
         load_split(path)
-
-
-def test_context_years():
-    table = Table(header=("Year", "Revenue"),
-                  rows=(("2019", "1"), ("2020", "2"), ("thereafter", "3")))
-    assert context_years(table) == [2019, 2020]

@@ -3,7 +3,8 @@
 A public name that nothing in `src/` refers to is either dead or a helper
 that only the tests call, which belongs under `tests/`. A reference is a
 `Name`, an `Attribute` or an import alias anywhere in `src/` outside the
-name's own definition.
+name's own definition. A `Name` inside a function that has a parameter of
+that name refers to the parameter, so it is no reference.
 """
 
 import ast
@@ -23,17 +24,36 @@ ALLOWED = {
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _references(node: ast.AST) -> Counter:
-    """How often each name is referred to within `node`."""
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _parameters(node) -> set[str]:
+    a = node.args
+    return {arg.arg for arg in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+            if arg is not None}
+
+
+def _references(node: ast.AST, params: frozenset = frozenset()) -> Counter:
+    """How often each name is referred to within `node`, where `params` are the
+    parameters of the functions enclosing it."""
     names = Counter()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
-            names[sub.attr] += 1
-        elif isinstance(sub, ast.alias):
-            names[sub.name] += 1
-            names[sub.asname] += 1
+    if isinstance(node, ast.Name):
+        if node.id not in params:
+            names[node.id] += 1
+    elif isinstance(node, ast.Attribute):
+        names[node.attr] += 1
+    elif isinstance(node, ast.alias):
+        names[node.name] += 1
+        names[node.asname] += 1
+    if isinstance(node, _SCOPES):
+        # Defaults, annotations and decorators are read outside the function.
+        body = node.body if isinstance(node.body, list) else [node.body]
+        inner = params | _parameters(node)
+        for child in ast.iter_child_nodes(node):
+            names += _references(child, inner if child in body else params)
+    else:
+        for child in ast.iter_child_nodes(node):
+            names += _references(child, params)
     return names
 
 
@@ -48,9 +68,9 @@ def _public_definitions(tree: ast.Module):
                     yield f"{node.name}.{member.name}", member
 
 
-def unreferenced_public_names() -> list[str]:
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
+    """The public names of the modules (module name -> source) that no module refers to."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
     everywhere = sum((_references(tree) for tree in trees.values()), Counter())
     unused = []
     for module, tree in trees.items():
@@ -61,4 +81,16 @@ def unreferenced_public_names() -> list[str]:
 
 
 def test_public_names_are_referenced_in_the_package():
-    assert sorted(unreferenced_public_names()) == sorted(ALLOWED)
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert sorted(unreferenced_public_names(sources)) == sorted(ALLOWED)
+
+
+def test_a_parameter_of_the_same_name_is_no_reference():
+    source = ("def helper():\n    return 1\n\n\n"
+              "def user(helper=None, *, scale=lambda helper: helper):\n"
+              "    return scale(helper)\n\n\n"
+              "user()\n")
+    assert unreferenced_public_names({"m": source}) == ["m.helper"]
+    # A default is read outside the function, so it refers to the module's helper.
+    assert unreferenced_public_names({"m": source.replace("=None", "=helper")}) == []
