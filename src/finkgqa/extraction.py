@@ -83,6 +83,11 @@ def _first_json_array(raw: str):
             value, _ = decoder.raw_decode(raw, idx)
         except json.JSONDecodeError:
             value = None
+        except RecursionError:
+            # Nested past the interpreter's limit, as no list of facts is. The
+            # reply is refused whole: a scan on from each `[` inside the nest
+            # would decode deep again, about 0.5 s over a 5,000-bracket reply.
+            raise NoJsonFound("JSON array nested too deeply in response") from None
         if isinstance(value, list):
             return value
         idx = raw.find("[", idx + 1)

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import evaluator, extraction, reasoner, retriever
-from .embedding import LocalHashEmbedder, RemoteEmbedder
+from .embedding import EmptyText, LocalHashEmbedder, RemoteEmbedder
 from .extraction import DocumentExtractor
 from .kg_schema import PARSE_BLOCK, Triplet, parse_triplets_file, serialize_triplets
 from .llm_client import (ChatClient, LlmTruncated, LlmUnavailable, MockChatTransport,
@@ -384,24 +384,30 @@ def cmd_train_retriever(cfg: PipelineConfig) -> dict:
     """Label train-split triplets from gold supporting facts and fit the filter.
 
     The triplet store is featurised one run at a time, as it is read, so the
-    pairs are in store order; triplets of a document the document store lacks
-    are not used. The manifest is written as the runs are read, and replaces
-    the old one only once the new model is saved.
+    pairs are in store order; triplets of a document the document store lacks,
+    or whose question has no token to embed, are not used. The runs' parts
+    are joined into one `GroupedFeatures` once the store is read. The manifest
+    is written as the runs are read, and replaces the old one only once the
+    new model is saved.
     """
     store = _require(triplets_path(cfg, "train"), "extract")
     # Labelling and featurising read only a document's question; keep nothing else.
     docs = {doc.id: FinDocument(doc.id, question=doc.question)
             for doc in _iter_documents(_require(documents_path(cfg, "train"), "ingest"))}
     embedder = build_embedder(cfg.embeddings, cfg.cache_dir)
-    X = retriever.GroupedFeatures()
+    parts: list[tuple] = []  # each run's `build_features`
     labels: list[int] = []
     with open_atomic(manifest_path(cfg)) as manifest:
         for run in _triplet_runs(store):
             doc = docs.get(run[0].source_doc)
             if doc is None:
                 continue
+            try:
+                parts.append(retriever.build_features(doc.question, run, embedder))
+            except EmptyText as exc:
+                logger.warning("train: leaving out document %s: %s", doc.id, exc)
+                continue
             run_labels = retriever.label_triplets(doc, run)
-            X.append(*retriever.build_features(doc.question, run, embedder))
             labels.extend(run_labels)
             doc_id = _json_str(doc.id)
             manifest.writelines(_MANIFEST_LINE % (doc_id, _json_str(t.triplet_id), label)
@@ -410,6 +416,8 @@ def cmd_train_retriever(cfg: PipelineConfig) -> dict:
             raise MissingArtifact("no training pairs; run `extract` on the train split first")
 
         del embedder, docs  # they serve featurisation only; free them before training
+        X = retriever.GroupedFeatures(parts)
+        del parts
         y = np.asarray(labels, dtype=np.float64)
         n_pos = int(y.sum())
         n_neg = len(y) - n_pos
@@ -430,8 +438,9 @@ def cmd_answer(cfg: PipelineConfig, split: str, mode: str) -> dict[str, int]:
 
     Returns the number of questions answered and the number that failed. A
     provider request that fails (`LlmUnavailable`, or `LlmTruncated` for a
-    reply cut at max_tokens) fails only its own question: its line is written
-    with an empty answer and an `error` key, which no other line carries.
+    reply cut at max_tokens), or in kg mode a question with no token to embed
+    (`EmptyText`), fails only its own question: its line is written with an
+    empty answer and an `error` key, which no other line carries.
     """
     if mode not in ("vanilla", "kg"):
         raise ValueError(f"mode must be vanilla or kg, got {mode!r}")
@@ -454,7 +463,7 @@ def cmd_answer(cfg: PipelineConfig, split: str, mode: str) -> dict[str, int]:
         try:
             picked = retriever.filter_topk(q, by_doc.get(doc.id, []), model, embedder,
                                            cfg.retriever_k)
-        except LlmUnavailable as exc:  # an embeddings request failed
+        except (LlmUnavailable, EmptyText) as exc:  # a failed request, or no token to embed
             return doc.id, q.text, "", [], str(exc)
         facts = [t for t, _ in picked]
         return (doc.id, q.text, reasoner.build_reasoning_prompt(q, facts),

@@ -111,57 +111,32 @@ class GroupedFeatures:
     per group of rows, doc maps each row to its group, and the triplet
     embedding stays the embedder's fraction. The local embedder's numerators
     are signed bucket counts, so N takes the narrowest signed integer dtype
-    that holds every group's counts (widened when a later group needs more).
-    At dim 256 with int8 counts a row is about 320 bytes (dim + 8·8: the
-    counts, its denominator, STRUCTURAL_COLUMNS and doc), plus 8·dim per
-    group, against 8·(2·dim+6) = 4,144 when dense. The rows are exact:
-    indexing divides N by D as the embedder does, so `train` and `score`
-    see the float64 values of the dense matrix. It gathers into a reused scratch
-    buffer, which the next index overwrites.
-
-    Groups are appended one at a time, so a caller that streams its
-    candidates need not know their number. Each array grows in place
-    (`ndarray.resize` reallocates it) by at least a quarter of its length,
-    so the rows are never held twice; rows past `shape[0]` are spare room.
+    that holds every group's counts. At dim 256 with int8 counts a row is
+    about 320 bytes (dim + 8·8: the counts, its denominator,
+    STRUCTURAL_COLUMNS and doc), plus 8·dim per group, against 8·(2·dim+6) =
+    4,144 when dense. The rows are exact: indexing divides N by D as the
+    embedder does, so `train` and `score` see the float64 values of the dense
+    matrix. It gathers into a reused scratch buffer, which the next index
+    overwrites.
     """
 
-    def __init__(self):
-        self.doc = np.empty(0, dtype=np.intp)
-        self.D = np.empty(0)
-        self.S = np.empty((0, N_STRUCTURAL))
-        self.Q = self.N = self._buf = None
-        self._groups = self._rows = 0
-
-    def append(self, q: np.ndarray, numerators: np.ndarray, denominators: np.ndarray,
-               S: np.ndarray) -> None:
-        """Add one group's `build_features`, of at least one row. The first group
-        sets the dimension, because an http embedder chooses its own."""
-        if self.Q is None:
-            self.Q = np.empty((0, q.shape[0]))
-            self.N = np.empty((0, q.shape[0]), dtype=numerators.dtype)
-            self._buf = np.empty((0, feature_dim(q.shape[0])))
-        if q.shape[0] != self.Q.shape[1]:
-            raise DimensionMismatch(f"group {self._groups} has dim {q.shape[0]}, "
-                                    f"the first group {self.Q.shape[1]}")
-        dtype = np.promote_types(self.N.dtype, numerators.dtype)
-        if dtype != self.N.dtype:
-            self.N = self.N.astype(dtype)
-        j, start, end = self._groups, self._rows, self._rows + len(S)
-        if j == len(self.Q):
-            _grow(self.Q, j + 1)
-        if end > len(self.doc):
-            for array in (self.doc, self.N, self.D, self.S):
-                _grow(array, end)
-        self.Q[j] = q
-        self.doc[start:end] = j
-        self.N[start:end] = numerators
-        self.D[start:end] = denominators
-        self.S[start:end] = S
-        self._groups, self._rows = j + 1, end
+    def __init__(self, groups: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]):
+        """Join the groups' `build_features` parts, each of at least one row,
+        once. The first group sets the dimension, because an http embedder
+        chooses its own."""
+        dim = groups[0][0].shape[0]
+        for j, (q, *_) in enumerate(groups):
+            if q.shape[0] != dim:
+                raise DimensionMismatch(f"group {j} has dim {q.shape[0]}, the first group {dim}")
+        self.Q = np.stack([q for q, *_ in groups])
+        self.doc = np.repeat(np.arange(len(groups)), [len(S) for *_, S in groups])
+        # concatenate widens N to the result_type of every group's numerators
+        self.N, self.D, self.S = (np.concatenate([g[i] for g in groups]) for i in (1, 2, 3))
+        self._buf = np.empty((0, feature_dim(dim)))
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._rows, self._buf.shape[1]
+        return len(self.doc), self._buf.shape[1]
 
     def __getitem__(self, rows: np.ndarray) -> np.ndarray:
         if len(rows) > len(self._buf):
@@ -172,13 +147,6 @@ class GroupedFeatures:
         np.divide(self.N[rows], self.D[rows, None], out=out[:, dim:2 * dim])
         out[:, 2 * dim:] = self.S[rows]
         return out
-
-
-def _grow(array: np.ndarray, n: int) -> None:
-    """Resize `array` in place to at least n rows, and by at least a quarter.
-    The reference check is off, as the caller's own references would fail it:
-    no view of a `GroupedFeatures` array outlives the call that made it."""
-    array.resize((max(n, len(array) + len(array) // 4), *array.shape[1:]), refcheck=False)
 
 
 _PARAMS = ("W1", "b1", "W2", "b2")
@@ -394,8 +362,7 @@ def score(question: QuestionRecord, triplets: list[Triplet], model: MlpModel,
     over the rows that training would gather for them."""
     if not triplets:
         return np.empty(0)
-    X = GroupedFeatures()
-    X.append(*build_features(question, triplets, provider))
+    X = GroupedFeatures([build_features(question, triplets, provider)])
     return forward_batch(model, X[np.arange(len(triplets))])
 
 

@@ -1,8 +1,8 @@
 """The dense feature matrix that `retriever.build_features`' parts stand for.
 
-Training and `retriever.score` gather their rows from those parts through a
-`GroupedFeatures`; the tests hold the gathered rows to this matrix, built the
-plain way, bit for bit.
+Training and `retriever.score` join those parts once into a `GroupedFeatures`
+and gather their rows from it; the tests hold the gathered rows to this
+matrix, built the plain way, bit for bit.
 """
 
 import numpy as np

@@ -94,9 +94,12 @@ def test_parse_entergy_response():
     assert validate_triplet(t) == []
 
 
-def test_prose_without_array_raises():
+@pytest.mark.parametrize("raw", ["no facts found in this document",
+                                 "[" * 5000],  # nested past the recursion limit
+                         ids=["prose", "nested"])
+def test_prose_without_array_raises(raw):
     with pytest.raises(NoJsonFound):
-        parse_extraction_response("no facts found in this document", "d")
+        parse_extraction_response(raw, "d")
 
 
 def test_invalid_element_lands_in_rejected():
@@ -501,3 +504,24 @@ def test_failed_chunk_request_loses_only_that_chunk(answer_key, corpus_docs):
     assert [t.value for t in healthy.triplets] == [100, 80, 120, 90]
     assert result.triplets == tuple(t for t in healthy.triplets if t.value != 120)
     assert result.rejected == ((failing, ("LlmUnavailable",)),)
+
+
+def test_deeply_nested_reply_loses_only_its_chunk(answer_key, corpus_docs):
+    from finkgqa.llm_client import chat_response
+
+    doc = corpus_docs[0]
+    nested = "For 2021, net revenue is $120."
+    mock = MockChatTransport(answer_key=answer_key)
+
+    def transport(url, payload, headers, timeout):
+        if nested in payload["messages"][-1]["content"]:
+            return 200, chat_response("[" * 5000)
+        return mock(url, payload, headers, timeout)
+
+    cfg = ProviderConfig(model="m", endpoint="http://mock.invalid")
+    # one sentence per chunk, so the nested reply answers one request
+    extract = DocumentExtractor(ChatClient(cfg, transport=transport),
+                                chunk_chars=1, chunk_overlap=0).extract
+    result = extract(doc)
+    assert [t.value for t in result.triplets] == [100, 80, 90]
+    assert result.rejected == (("[" * 200, ("NoJsonFound",)),)

@@ -617,12 +617,30 @@ def test_retrieval_with_http_embeddings_runs_on_the_workers(tmp_path, corpus_pat
     assert threading.get_ident() not in scored + requests
 
 
-def test_failed_embeddings_request_fails_only_its_question(tmp_path, corpus_path,
+TOKEN_FREE = "¿—?"  # the local embedder finds no token in it
+
+
+def _with_question(tmp_path: Path, corpus: Path, index: int, question: str) -> Path:
+    """A copy of the corpus whose record `index` asks `question`."""
+    records = json.loads(corpus.read_text(encoding="utf-8"))
+    records[index]["qa"]["question"] = question
+    path = tmp_path / f"with-question-{index}.json"
+    path.write_text(json.dumps(records), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("failure", ["request", "token-free"])
+def test_failed_embeddings_request_fails_only_its_question(failure, tmp_path, corpus_path,
                                                           corpus_docs, monkeypatch):
+    """A 503 from the embeddings server, or a question with no token for the
+    local embedder, fails that question's line alone."""
     from finkgqa import llm_client
 
-    cfg = _http_embeddings_config(tmp_path, corpus_path)
-    monkeypatch.setattr(llm_client, "http_transport", _embeddings_server([]))
+    if failure == "request":
+        cfg = _http_embeddings_config(tmp_path, corpus_path)
+        monkeypatch.setattr(llm_client, "http_transport", _embeddings_server([]))
+    else:
+        cfg = _config(tmp_path, corpus_path)
     pl.cmd_ingest(cfg)
     pl.cmd_extract(cfg)
     pl.cmd_train_retriever(cfg)
@@ -630,18 +648,50 @@ def test_failed_embeddings_request_fails_only_its_question(tmp_path, corpus_path
     clean_lines = _answer_lines(cfg, "kg")
 
     failed = corpus_docs[2]
-    cfg.cache_dir = str(tmp_path / "cold-cache")  # the question's embedding is not cached
-    monkeypatch.setattr(llm_client, "http_transport",
-                        _embeddings_server([], failing_text=failed.question.text))
+    if failure == "request":
+        cfg.cache_dir = str(tmp_path / "cold-cache")  # the question's embedding is not cached
+        monkeypatch.setattr(llm_client, "http_transport",
+                            _embeddings_server([], failing_text=failed.question.text))
+        reason = "503"
+    else:
+        # only the test split asks it, so the model is the clean run's
+        cfg.data["test"] = str(_with_question(tmp_path, corpus_path, 2, TOKEN_FREE))
+        pl.cmd_ingest(cfg)
+        reason = "no tokens"
     assert pl.cmd_answer(cfg, "test", "kg") == {"answered": 4, "n_errors": 1}
+    assert pl.cmd_evaluate(cfg, "test", "kg")["n_errors"] == 1
 
     lines = _answer_lines(cfg, "kg")
     entry = json.loads(lines.pop(2))
     assert entry["doc_id"] == failed.id
     assert (entry["answer"], entry["retrieved"], entry["prompt"]) == ("", [], "")
-    assert "503" in entry["error"]
+    assert reason in entry["error"]
     clean_lines.pop(2)
     assert lines == clean_lines
+
+
+def test_token_free_training_question_leaves_out_only_its_document(tmp_path, corpus_path,
+                                                                    corpus_docs, caplog):
+    clean = _config(tmp_path, corpus_path, subdir="clean")
+    pl.cmd_ingest(clean)
+    pl.cmd_extract(clean)
+    clean_summary = pl.cmd_train_retriever(clean)
+
+    cfg = _config(tmp_path, _with_question(tmp_path, corpus_path, 2, TOKEN_FREE))
+    pl.cmd_ingest(cfg)
+    pl.cmd_extract(cfg)
+    with caplog.at_level("WARNING"):
+        summary = pl.cmd_train_retriever(cfg)
+
+    failed = corpus_docs[2].id
+    manifest = [json.loads(line) for line in
+                pl.manifest_path(cfg).read_text(encoding="utf-8").splitlines()]
+    clean_manifest = [json.loads(line) for line in
+                      pl.manifest_path(clean).read_text(encoding="utf-8").splitlines()]
+    assert manifest == [m for m in clean_manifest if m["doc_id"] != failed]
+    assert summary["pairs"] == len(manifest) < clean_summary["pairs"]
+    assert [r.getMessage() for r in caplog.records if failed in r.getMessage()]
+    assert pl.model_path(cfg).exists()
 
 
 def test_failed_extraction_request_fails_only_its_chunk(tmp_path, corpus_path, corpus_docs,

@@ -3,12 +3,13 @@ and each triplet embedding as the embedder's fraction.
 
 `cmd_train_retriever` keeps the training pairs as a `GroupedFeatures`
 (question embeddings, a row -> document index, each triplet embedding's
-numerators and denominator, and the structural columns). These tests hold it
-to the dense matrix it replaces: the same rows bit for bit, the same model
-file, and a peak well below that matrix's size. The triplet store is read
-one document's run of lines at a time, and each run's parsed triplets are
-freed once its rows are appended. `score` gathers one question's rows through
-a `GroupedFeatures` too, and is held to the same dense reference.
+numerators and denominator, and the structural columns), built once from
+every run's `build_features` parts. These tests hold it to the dense matrix
+it replaces: the same rows bit for bit, the same model file, and a peak well
+below that matrix's size. The triplet store is read one document's run of
+lines at a time, and each run's parsed triplets are freed once its parts are
+built. `score` gathers one question's rows through a `GroupedFeatures` too,
+and is held to the same dense reference.
 """
 
 import gc
@@ -134,7 +135,7 @@ NUMERATOR_DTYPES = ("int8", "int16", "int32", "float64")
          dtypes=["int8", "int16", "int8", "float64"] * 2)
 def test_grouped_rows_equal_dense_rows(sizes, dim, batch_size, seed, dtypes):
     """Document j's numerators take dtypes[j], over their full range, so the
-    store widens as later documents need."""
+    store's numerators widen to hold every document's."""
     rng = np.random.default_rng(seed)
     parts, blocks = [], []  # per document: `build_features` output, and its dense rows
     for size, dtype in zip(sizes, dtypes):
@@ -150,9 +151,7 @@ def test_grouped_rows_equal_dense_rows(sizes, dim, batch_size, seed, dtypes):
         parts.append((q, numerators, denominators, S))
         blocks.append(np.hstack([np.tile(q, (size, 1)),
                                  numerators.astype(np.float64) / denominators[:, None], S]))
-    X = retriever.GroupedFeatures()
-    for part in parts:
-        X.append(*part)
+    X = retriever.GroupedFeatures(parts)
     assert X.N.dtype == np.result_type(*dtypes[:len(sizes)])
     _assert_batches_equal(X, np.concatenate(blocks), batch_size, rng)
 
@@ -175,9 +174,8 @@ def _rows_from_provider(provider, documents: list[list[str]],
     dense = np.concatenate([dense_reference(q, ts, provider)
                             for q, ts in zip(questions, triplets)])
     assert dense.shape[1] == retriever.feature_dim(dim)
-    X = retriever.GroupedFeatures()
-    for q, ts in zip(questions, triplets):
-        X.append(*retriever.build_features(q, ts, provider))
+    X = retriever.GroupedFeatures([retriever.build_features(q, ts, provider)
+                                   for q, ts in zip(questions, triplets)])
     for batch_size in (1, 3, 64):
         _assert_batches_equal(X, dense, batch_size, np.random.default_rng(batch_size))
     return X
@@ -188,7 +186,8 @@ CANCELLING = "c 7"
 
 
 def test_grouped_rows_from_the_local_embedder_equal_dense_rows():
-    """Counts past int8 and past int16 widen the store; a zero bag is e0 over 1.0."""
+    """Counts past int8 and past int16 widen the store's numerators; a zero bag
+    is e0 over 1.0."""
     documents = [["net revenue 2019", "operating expenses 2018 5829 million"],
                  [CANCELLING, " ".join(["aa"] * 200), "interest expense 2017"],
                  [" ".join(["ab"] * 40_000), CANCELLING],
@@ -265,13 +264,12 @@ def test_grouped_features_reject_a_document_of_another_width():
     width = [24]
     embedder = _remote_embedder(lambda: width[0])
     question = QuestionRecord(text="what was net revenue in 2019?", gold_answer="5")
-    X = retriever.GroupedFeatures()
-    X.append(*retriever.build_features(question, [_piece_triplet("a b", "d0")], embedder))
+    first = retriever.build_features(question, [_piece_triplet("a b", "d0")], embedder)
     width[0] = 32
-    parts = retriever.build_features(QuestionRecord(text="and in 2018?", gold_answer="4"),
-                                     [_piece_triplet("c d", "d1")], embedder)
+    second = retriever.build_features(QuestionRecord(text="and in 2018?", gold_answer="4"),
+                                      [_piece_triplet("c d", "d1")], embedder)
     with pytest.raises(DimensionMismatch):
-        X.append(*parts)
+        retriever.GroupedFeatures([first, second])
 
 
 def _train_retriever_peak(tmp_path, n_docs: int) -> float:
